@@ -1,21 +1,18 @@
 //! Gang lane sweep: aggregate scenario throughput of the gang engine —
-//! lane-strided, **bit-packed**, and **word-interleaved SIMD** — vs the
-//! single-scenario BSP engine, over one compiled partition.
+//! lane-strided and **bit-packed** — vs the single-scenario BSP engine,
+//! over one compiled partition.
 //!
 //! The gang engine runs L independent stimulus lanes in lockstep, so
 //! each dispatched bytecode instruction is amortized L ways. Packed
 //! mode goes one dimension further on exactly the nets that dominate
 //! control-heavy designs: 1-bit values are bit-packed across lanes (64
 //! scenarios per `u64` word), so a single bitwise op advances 64 lanes.
-//! The SIMD column interleaves the multi-bit arenas word-major instead
-//! (`word × lane` rows), so each fused opcode runs a vector kernel
-//! (AVX2/NEON, runtime-detected) over dense lane chunks. This bin
+//! Multi-bit state is word-interleaved (`word × lane` rows) in every
+//! gang, so each fused opcode sweeps dense lane chunks. This bin
 //! sweeps L up to 256 lanes on the corpus designs — including the sr
-//! mesh — and prints **aggregate lane-cycles/sec** for all three
-//! engines side by side; the acceptance criteria are that the packed
-//! aggregate keeps rising superlinearly vs strided at 64+ lanes, and
-//! that the word-interleaved column beats lane-major strided where the
-//! multi-bit datapath dominates.
+//! mesh — and prints **aggregate lane-cycles/sec** for both gangs next
+//! to the single-scenario engine; the acceptance criterion is that the
+//! packed aggregate keeps rising superlinearly vs strided at 64+ lanes.
 //!
 //! Throughput comes from *untimed* `run` calls (best of three reps, no
 //! per-cycle clock reads); the phase split in the JSON comes from one
@@ -79,7 +76,6 @@ fn measure(rec: &mut BenchRecord, run: &mut dyn FnMut(bool) -> parendi_sim::BspP
         best = best.min(run(false).total_s);
     }
     let ph = run(true);
-    let simd = std::mem::take(&mut rec.simd);
     *rec = BenchRecord::from_phases(
         &rec.bin,
         rec.design.clone(),
@@ -93,7 +89,6 @@ fn measure(rec: &mut BenchRecord, run: &mut dyn FnMut(bool) -> parendi_sim::BspP
         rec.cycles as f64 / best,
         &ph,
     );
-    rec.simd = simd;
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -113,15 +108,8 @@ fn sweep_design(
         "\n== {key} ({tiles_used} tiles, {chips} chips, {threads} threads, {cycles} cycles) =="
     );
     println!(
-        "{:>6} {:>13} {:>13} {:>13} {:>8} {:>8} {:>9} {:>9}",
-        "lanes",
-        "strided kc/s",
-        "packed kc/s",
-        "simd kc/s",
-        "pack/str",
-        "simd/str",
-        "vs 1-lane",
-        "vs base"
+        "{:>6} {:>13} {:>13} {:>8} {:>9} {:>9}",
+        "lanes", "strided kc/s", "packed kc/s", "pack/str", "vs 1-lane", "vs base"
     );
     let template = |engine: &str, lanes: u32, packed: bool| BenchRecord {
         bin: BIN.into(),
@@ -162,11 +150,9 @@ fn sweep_design(
         threads as u32,
     );
     println!(
-        "{:>6} {:>13.1} {:>13} {:>13} {:>8} {:>8} {:>9} {:>9} (single-scenario BspSimulator)",
+        "{:>6} {:>13.1} {:>13} {:>8} {:>9} {:>9} (single-scenario BspSimulator)",
         1,
         rec.lane_cycles_per_s / 1e3,
-        "-",
-        "-",
         "-",
         "-",
         vs_baseline_cell(rec.lane_cycles_per_s, vs),
@@ -176,44 +162,18 @@ fn sweep_design(
     out.push(rec);
 
     for lanes in lane_sweep() {
-        // Three gangs over the identical partition: lane-major strided
-        // (scalar kernels), bit-packed, and word-interleaved (the SIMD
-        // vector kernels over dense lane rows). pack/str and simd/str
-        // are the acceptance metrics of their respective PRs.
-        let mut measured = [f64::NAN; 3];
-        for (pi, &(packed, word_major)) in [(false, false), (true, false), (false, true)]
-            .iter()
-            .enumerate()
-        {
-            if word_major && lanes < 2 {
-                continue; // single-lane engines are always lane-major
-            }
+        // Two gangs over the identical partition: strided and
+        // bit-packed. pack/str is the acceptance metric of the packed
+        // engine.
+        let mut measured = [0f64; 2];
+        for (pi, &packed) in [false, true].iter().enumerate() {
             let mut rec = template("gang", lanes as u32, packed);
             {
-                let mut gang = if word_major {
-                    GangSimulator::with_layout(
-                        circuit,
-                        &comp.partition,
-                        threads,
-                        lanes,
-                        packed,
-                        true,
-                    )
-                } else if packed {
+                let mut gang = if packed {
                     GangSimulator::new_packed(circuit, &comp.partition, threads, lanes)
                 } else {
-                    GangSimulator::with_layout(
-                        circuit,
-                        &comp.partition,
-                        threads,
-                        lanes,
-                        false,
-                        false,
-                    )
+                    GangSimulator::new(circuit, &comp.partition, threads, lanes)
                 };
-                if word_major {
-                    rec.simd = gang.simd().into();
-                }
                 gang.run(30);
                 measure(&mut rec, &mut |timed| {
                     if timed {
@@ -229,7 +189,7 @@ fn sweep_design(
             measured[pi] = rec.lane_cycles_per_s;
             out.push(rec);
         }
-        let [strided, packed, simd] = measured;
+        let [strided, packed] = measured;
         let vs = baseline_rate(
             base.unwrap_or(&[]),
             BIN,
@@ -240,28 +200,12 @@ fn sweep_design(
             lanes as u32,
             threads as u32,
         );
-        let cell = |v: f64| {
-            if v.is_nan() {
-                "-".to_string()
-            } else {
-                format!("{:.1}", v / 1e3)
-            }
-        };
-        let ratio = |v: f64| {
-            if v.is_nan() {
-                "-".to_string()
-            } else {
-                format!("{:.2}x", v / strided.max(1e-12))
-            }
-        };
         println!(
-            "{:>6} {:>13.1} {:>13} {:>13} {:>8} {:>8} {:>8.2}x {:>9}",
+            "{:>6} {:>13.1} {:>13.1} {:>7.2}x {:>8.2}x {:>9}",
             lanes,
             strided / 1e3,
-            cell(packed),
-            cell(simd),
-            ratio(packed),
-            ratio(simd),
+            packed / 1e3,
+            packed / strided.max(1e-12),
             packed / single_rate.max(1e-12),
             vs_baseline_cell(strided, vs),
         );
@@ -397,13 +341,8 @@ fn main() {
                 base, BIN, &r.design, &r.engine, r.packed, &r.simd, r.lanes, r.threads,
             ) {
                 println!(
-                    "{} gang{} lanes={} threads={}: base {:>9.1} kcyc/s -> now {:>9.1} kcyc/s ({})",
+                    "{} gang lanes={} threads={}: base {:>9.1} kcyc/s -> now {:>9.1} kcyc/s ({})",
                     r.design,
-                    if r.simd.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" (simd {})", r.simd)
-                    },
                     r.lanes,
                     r.threads,
                     b / 1e3,

@@ -54,11 +54,11 @@ pub struct BenchRecord {
     /// Whether the gang ran with bit-packed 1-bit lanes (absent in
     /// pre-PR5 baselines, parsed as `false`).
     pub packed: bool,
-    /// Vector-ISA column tag: empty for lane-major strided rows (and
-    /// for pre-PR6 baselines, where the field is absent), the engine's
-    /// ISA name (`avx2`, `neon`, `scalar`) for word-interleaved SIMD
-    /// rows. Part of the row key, so a SIMD row never gates against a
-    /// strided baseline.
+    /// Vector-ISA column tag of the PR6–PR11 baselines' separate
+    /// word-interleaved column (`avx2`, `neon`, `scalar`). Empty on
+    /// every row the bins write now (there is one strided gang) and on
+    /// pre-PR6 baselines, where the field is absent. Part of the row
+    /// key, so fresh rows never gate against those tagged rows.
     pub simd: String,
     /// Chips the partition spans.
     pub chips: u32,
@@ -252,7 +252,7 @@ pub fn parse_bench_json(text: &str) -> Vec<BenchRecord> {
                 "engine" => r.engine = s,
                 // Absent in pre-PR5 baselines: stays `false` (strided).
                 "packed" => r.packed = v == "true",
-                // Absent in pre-PR6 baselines: stays empty (lane-major).
+                // Absent in pre-PR6 baselines: stays empty.
                 "simd" => r.simd = s,
                 "chips" => r.chips = n as u32,
                 "tiles" => r.tiles = n as u32,

@@ -59,7 +59,7 @@ impl ExchangePlan {
 
     /// The plan of a **gang** run at `lanes` scenario lanes: every lane
     /// moves its own copy of every routed value (the executable
-    /// counterpart — `parendi_sim::gang` — carries `lanes` lane-major
+    /// counterpart — `parendi_sim::gang` — carries `lanes` interleaved
     /// copies of every mailbox buffer and flushes all of them per
     /// cycle).
     ///

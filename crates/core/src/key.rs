@@ -25,6 +25,15 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// FNV-1a 64 of `bytes` — the workspace's one dependency-free
+/// integrity hash (not cryptographic): compile keys here, the `PDCK`
+/// snapshot checksum in `parendi-sim`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
+}
+
 /// An incremental FNV-1a 64 hasher over explicit, deterministic feeds.
 /// Deliberately not `std::hash::Hasher`: nothing here may depend on
 /// `RandomState` or iteration order.
@@ -303,6 +312,22 @@ mod tests {
             CompileKey::new(&a, &cfg, 8, false),
             CompileKey::new(&b, &cfg, 8, false)
         );
+    }
+
+    /// Digests are persisted (serve cache keys, key text): the bytes of
+    /// one key are pinned so the shared FNV-1a can never drift.
+    #[test]
+    fn golden_digest_is_pinned() {
+        let key = CompileKey::new(
+            &counter("ctr", 0),
+            &PartitionConfig::with_tiles(2),
+            8,
+            false,
+        );
+        assert_eq!(key.circuit_hash, 0x5c9f_bd9a_d505_d75c);
+        assert_eq!(key.digest(), 0xc344_d50f_5bda_7c20);
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

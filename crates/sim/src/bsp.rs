@@ -182,18 +182,8 @@ impl<'c> BspSimulator<'c> {
         threads: usize,
         transport: crate::transport::TransportChoice,
     ) -> Self {
-        // A single-lane engine is always lane-major: the layouts
-        // coincide at one lane and the scalar kernels are optimal.
         BspSimulator {
-            core: EngineCore::with_transport(
-                circuit,
-                partition,
-                threads,
-                1,
-                false,
-                crate::engine::LayoutChoice::LaneMajor,
-                transport,
-            ),
+            core: EngineCore::with_transport(circuit, partition, threads, 1, false, transport),
         }
     }
 
@@ -211,16 +201,7 @@ impl<'c> BspSimulator<'c> {
         trace: parendi_telemetry::TraceConfig,
     ) -> Self {
         BspSimulator {
-            core: EngineCore::with_trace(
-                circuit,
-                partition,
-                threads,
-                1,
-                false,
-                crate::engine::LayoutChoice::LaneMajor,
-                transport,
-                trace,
-            ),
+            core: EngineCore::with_trace(circuit, partition, threads, 1, false, transport, trace),
         }
     }
 

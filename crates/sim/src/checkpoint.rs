@@ -6,11 +6,11 @@
 //! register file and array copies, **both** parities of every
 //! double-buffered mailbox, the input buffer, the cycle count, and the
 //! lane active/retired bookkeeping — so that restoring it into a
-//! freshly constructed engine (same circuit, partition, lane shape and
-//! layout) continues bit-identically to a run that was never
-//! interrupted. The transport backend does *not* need to match: the
-//! fabric contents are backend-independent, and staged backends re-sync
-//! their staging mirrors on restore.
+//! freshly constructed engine (same circuit, partition and lane shape)
+//! continues bit-identically to a run that was never interrupted. The
+//! transport backend does *not* need to match: the fabric contents are
+//! backend-independent, and staged backends re-sync their staging
+//! mirrors on restore.
 //!
 //! # On-disk format
 //!
@@ -25,8 +25,11 @@
 //! ```
 //!
 //! The payload starts with an engine **fingerprint** (circuit name,
-//! lane count, packed word count, layout flag, and the exact word
-//! counts of every tile buffer, mailbox and the input buffer).
+//! lane count, packed word count, layout word, and the exact word
+//! counts of every tile buffer, mailbox and the input buffer). The
+//! layout word is 1 for every gang — strided state is word-interleaved
+//! from two lanes up — and 0 at one lane; a gang snapshot carrying 0
+//! predates the single layout and is refused as a shape mismatch.
 //! [`Snapshot::read`] validates magic, version, length and checksum;
 //! the engine's `restore` additionally validates the fingerprint
 //! against itself and refuses mismatched shapes — a snapshot can never
@@ -39,6 +42,7 @@
 //! than misread. There is deliberately no migration machinery — a
 //! snapshot is a crash-recovery artifact, not an archival format.
 
+use parendi_core::key::fnv1a;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -131,6 +135,8 @@ pub(crate) struct Fingerprint {
     pub circuit: String,
     pub lanes: u32,
     pub pw: u32,
+    /// The format's layout word: `lanes >= 2` on every engine this
+    /// build constructs (see the module docs).
     pub word_major: bool,
     pub input_words: u64,
     pub onchip: u32,
@@ -412,17 +418,6 @@ pub(crate) fn auto_checkpoint_from_env() -> Option<(PathBuf, u64)> {
     parsed
 }
 
-/// FNV-1a 64 over `bytes` — dependency-free corruption detection (not
-/// cryptographic, like every other integrity check in this workspace).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Little-endian byte sink for [`Snapshot::to_bytes`].
 #[derive(Default)]
 struct Writer(Vec<u8>);
@@ -572,6 +567,17 @@ mod tests {
         assert_eq!(decoded.circuit(), "rand7");
         assert_eq!(decoded.decode_retired_at()[2], Some(17));
         assert_eq!(decoded.decode_retired_at()[3], None);
+    }
+
+    /// The `PDCK` bytes are a stable format: the sample's length and
+    /// FNV-1a checksum (the shared `parendi_core::key::fnv1a`) are
+    /// pinned to the values the first format-1 build wrote.
+    #[test]
+    fn golden_checksum_is_pinned() {
+        let bytes = sample().to_bytes();
+        assert_eq!(bytes.len(), 669);
+        let sum = u64::from_le_bytes(bytes[661..].try_into().expect("8 bytes"));
+        assert_eq!(sum, 0xa6bd_2391_db1e_bff2);
     }
 
     /// Each corruption mode reports its own typed error: bad magic,

@@ -21,36 +21,27 @@
 //!   data fusion and SIMD-coverage decisions are made from;
 //!
 //! Every `PARENDI_*` environment knob the engine (and the bench bins)
-//! reads — transport, SIMD, layout, spin budget, tracing, and the rest
-//! — is cataloged with defaults and interactions in `docs/ENVVARS.md`
-//! at the repository root.
+//! reads — transport, spin budget, tracing, and the rest — is cataloged
+//! with defaults and interactions in `docs/ENVVARS.md` at the
+//! repository root.
 //!
-//! # Strided lane layouts
+//! # Strided lane layout
 //!
-//! Multi-bit state carries its `lanes` scenarios in one of **two
-//! strided arena layouts**, chosen per engine by [`LayoutChoice`] at
-//! [`Compiled::new`] time and threaded through the hot loop as a
-//! compile-time type parameter (`crate::exec::Layout`):
+//! Multi-bit state carries its `lanes` scenarios **word-interleaved**:
+//! word `w` of lane `l` lives at `w * lanes + l`, so the same logical
+//! word of *all* lanes is one dense row and a fused opcode processes a
+//! whole lane chunk with one lane kernel ([`crate::simd`]). Copies and
+//! commits are per-word row copies; multi-word (`WIDE`) steps gather
+//! one lane's operand words into a scratch block, run the slice
+//! kernels, and scatter the destination back. At one lane the rule is
+//! just `w` — the single-scenario engine's plain buffers.
 //!
-//! * **lane-major** (`word w` of lane `l` at `l * stride + w`): each
-//!   lane's block is contiguous, so per-lane I/O and the multi-word
-//!   fallback read natural slices; the fused single-word kernels walk
-//!   the arena at `stride`-word steps.
-//! * **word-interleaved** (`w * lanes + l`): the same logical word of
-//!   *all* lanes is one dense row, so a fused opcode processes a whole
-//!   lane chunk with one vector kernel ([`crate::simd`]) — the layout
-//!   the SIMD sweeps want. Copies and commits become per-word row
-//!   copies; multi-word (`WIDE`) steps gather one lane's operand words
-//!   into a scratch block, run the slice kernels, and scatter the
-//!   destination back.
-//!
-//! The transpose rules: **arrays always stay lane-major** (array
-//! traffic is index-scattered, never row-dense), the **packed 1-bit
-//! domain** below is layout-invariant (its `PACK`/`UNPACK` boundaries
-//! read/write the strided arena through the layout), and **mailbox
-//! strided sections** follow the engine's layout while packed tails
-//! and port records are absolute. Single-lane engines are always
-//! lane-major (the layouts coincide at one lane).
+//! Outside the rule: **arrays** keep one contiguous block per lane
+//! (array traffic is index-scattered, never row-dense), the **packed
+//! 1-bit domain** below is already lane-transposed (its `PACK`/`UNPACK`
+//! boundaries read/write the strided arena through the rule), and
+//! mailbox **packed tails** sit at absolute offsets after the strided
+//! section, whose register slots and port records follow the rule.
 //!
 //! # Packed 1-bit lanes
 //!
@@ -69,10 +60,10 @@
 //!   input buffer (bit scatter on `set_input_lane`).
 //! * **Mailbox** slots of 1-bit registers move into a packed section at
 //!   the tail of each channel buffer; the strided section keeps its
-//!   lane-major layout (port records always stay strided). The off-chip
-//!   flush therefore moves `pw` words per 1-bit register instead of
-//!   `lanes`, which is what `ExchangePlan::scaled_by_lanes` models with
-//!   `packed = true`.
+//!   word-interleaved layout (port records always stay strided). The
+//!   off-chip flush therefore moves `pw` words per 1-bit register
+//!   instead of `lanes`, which is what
+//!   `ExchangePlan::scaled_by_lanes` models with `packed = true`.
 //! * 1-bit **combinational nets** whose operands are already packed are
 //!   computed by packed bytecode opcodes on a per-tile packed scratch
 //!   arena; explicit transpose boundary opcodes (`PACK`/`UNPACK`, see
@@ -494,7 +485,7 @@ impl Program {
 /// pair, plus one *aggregate* per ordered chip pair whose buffer is
 /// segmented among all the cross-chip channels of that pair. In a gang
 /// engine the buffer is `lanes` copies of the single-lane layout,
-/// lane-major; the epoch discipline is identical.
+/// word-interleaved; the epoch discipline is identical.
 ///
 /// Epoch discipline (enforced by the two BSP barriers, see the `bsp`
 /// module docs): during cycle `c` producer threads write only buffer
@@ -647,13 +638,10 @@ pub(crate) fn worker_groups(tile_chip: &[u32], workers: usize) -> Vec<Vec<usize>
 /// input packing, and the mailbox fabric, all sized for `lanes`
 /// independent scenarios (the single-scenario engine passes 1).
 ///
-/// Every lane-carrying buffer is laid out in one of two strided shapes
-/// (see the `exec` module docs): **lane-major** — lane `l` owns the
-/// contiguous block `[l × words, (l + 1) × words)` of the single-lane
-/// layout, so per-lane values stay contiguous and the word kernels
-/// apply unchanged — or **word-interleaved** (`word_major`), where each
-/// word's lane row `[off × lanes, (off + 1) × lanes)` is contiguous so
-/// the vector kernels load dense lane chunks.
+/// Every strided lane-carrying buffer is word-interleaved (see the
+/// `exec` module docs): each word's lane row
+/// `[off × lanes, (off + 1) × lanes)` is contiguous, so the lane
+/// kernels sweep dense lane chunks.
 ///
 /// `Clone` deep-copies the whole artifact (including both mailbox
 /// parities — see [`Mailbox::clone`]'s quiescence requirement): a
@@ -690,8 +678,8 @@ pub(crate) struct Compiled {
     /// The mailbox fabric: on-chip per-tile-pair boxes first, then the
     /// per-chip-pair off-chip aggregates.
     pub channels: Vec<Mailbox>,
-    /// Strided single-lane words of each mailbox (the per-lane stride
-    /// of its lane-major section; packed slots live after it).
+    /// Strided single-lane words of each mailbox (its strided section
+    /// is `mail_words × lanes` words; packed slots live after it).
     pub mail_words: Vec<u32>,
     /// How many leading `channels` serve on-chip tile pairs.
     pub onchip_mailboxes: usize,
@@ -703,62 +691,13 @@ pub(crate) struct Compiled {
     /// Words per packed 1-bit net block: `ceil(lanes / 64)` in packed
     /// mode, 0 otherwise.
     pub pw: usize,
-    /// Whether strided lane-carrying buffers are word-interleaved.
-    pub word_major: bool,
-    /// The vector ISA the fused kernels dispatch to, detected once
-    /// here (`PARENDI_SIMD=0` forces the scalar fallback).
+    /// The lane-kernel instantiation the fused opcodes dispatch to,
+    /// picked once here from the CPU and the lane count.
     pub isa: VecIsa,
 }
 
-/// The strided memory layout requested of [`Compiled::new`]. `Auto`
-/// resolves from the `PARENDI_LANE_LAYOUT` env var (`word`/
-/// `interleaved` vs `lane`/`strided`) and otherwise interleaves gangs
-/// wide enough for the vector kernels to win. Single-lane engines are
-/// always lane-major (the layouts coincide at one lane).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum LayoutChoice {
-    /// Env override, then the lane-count heuristic.
-    Auto,
-    /// Force `[lane × words]` (the PR-5 layout).
-    LaneMajor,
-    /// Force `[word × lanes]` interleaving.
-    WordMajor,
-}
-
-impl LayoutChoice {
-    /// Resolves the choice for a `lanes`-wide gang.
-    fn word_major(self, lanes: usize) -> bool {
-        lanes >= 2
-            && match self {
-                LayoutChoice::LaneMajor => false,
-                LayoutChoice::WordMajor => true,
-                LayoutChoice::Auto => match std::env::var("PARENDI_LANE_LAYOUT").as_deref() {
-                    Ok("word") | Ok("interleaved") => true,
-                    Ok("lane") | Ok("strided") => false,
-                    // Measured crossover (`gang_lanes` simd/str
-                    // column, baselines/post_pr6.json): interleaving
-                    // already edges out lane-major at 4 lanes
-                    // (1.01-1.31x across the quick designs) and wins
-                    // decisively at 64 (2.4-5.7x), so interleave as
-                    // soon as a chunk fills a half vector register.
-                    // `PARENDI_LAYOUT_CROSSOVER=<n>` overrides the
-                    // threshold for boxes where the measured crossover
-                    // differs (clamped to ≥ 2: a 1-lane gang is always
-                    // lane-major anyway).
-                    _ => {
-                        let cross = std::env::var("PARENDI_LAYOUT_CROSSOVER")
-                            .ok()
-                            .and_then(|v| v.parse::<usize>().ok())
-                            .unwrap_or(4);
-                        lanes >= cross.max(2)
-                    }
-                },
-            }
-    }
-}
-
-/// Where a mailbox slot lives: lane-major strided section or the packed
-/// tail (absolute word offset — the packed tail is not lane-strided).
+/// Where a mailbox slot lives: the strided section or the packed tail
+/// (absolute word offset — the packed tail is not lane-strided).
 #[derive(Clone, Copy, Debug)]
 enum MailSlot {
     Strided { ch: u32, off: u32 },
@@ -829,11 +768,9 @@ impl Compiled {
         partition: &Partition,
         lanes: usize,
         packed: bool,
-        layout: LayoutChoice,
     ) -> Self {
         assert!(lanes >= 1, "need at least one lane");
-        let word_major = layout.word_major(lanes);
-        let isa = VecIsa::detect();
+        let isa = VecIsa::for_lanes(lanes);
         let pw = if packed { lanes.div_ceil(64) } else { 0 };
         assert!(pw < 1 << 16, "lane count overflows the packed-word imm");
         let routing = Routing::new(circuit, partition);
@@ -969,7 +906,7 @@ impl Compiled {
         // Mailboxes. On-chip channels get one double-buffered mailbox per
         // tile pair; off-chip channels are aggregated into one wider
         // mailbox per ordered chip pair, each channel owning a disjoint
-        // segment. Buffers carry `lanes` lane-major copies of the
+        // segment. Buffers carry `lanes` word-interleaved copies of the
         // strided layout, followed by the packed tail.
         let mut chan_map = vec![(0u32, 0u32, 0u32); nch];
         let mut channels: Vec<Mailbox> = Vec::new();
@@ -1044,14 +981,9 @@ impl Compiled {
                 let init = circuit.regs[route.reg.index()].init.words();
                 match layout.slot_of(hop) {
                     MailSlot::Strided { ch, off } => {
-                        let stride = mail_words[ch as usize] as usize;
                         for lane in 0..lanes {
                             for (k, &w) in init.iter().enumerate() {
-                                let at = if word_major {
-                                    (off as usize + k) * lanes + lane
-                                } else {
-                                    lane * stride + off as usize + k
-                                };
+                                let at = (off as usize + k) * lanes + lane;
                                 // SAFETY: construction is single-threaded
                                 // and offsets stay inside the lane-sized
                                 // buffer.
@@ -1143,7 +1075,7 @@ impl Compiled {
             .collect();
 
         if std::env::var("PARENDI_CODE_STATS").is_ok_and(|v| !v.is_empty() && v != "0") {
-            dump_code_stats(&circuit.name, &programs, lanes, packed, word_major, isa);
+            dump_code_stats(&circuit.name, &programs, lanes, packed, isa);
         }
 
         Compiled {
@@ -1167,7 +1099,6 @@ impl Compiled {
             offchip_pairs,
             tile_chip: routing.tile_chip,
             pw,
-            word_major,
             isa,
         }
     }
@@ -1176,20 +1107,12 @@ impl Compiled {
 /// Dumps aggregate opcode/width and adjacent-pair histograms of every
 /// tile's bytecode to stderr — the `PARENDI_CODE_STATS` hook that
 /// fusion and SIMD-coverage decisions are made from.
-fn dump_code_stats(
-    name: &str,
-    programs: &[Program],
-    lanes: usize,
-    packed: bool,
-    word_major: bool,
-    isa: VecIsa,
-) {
+fn dump_code_stats(name: &str, programs: &[Program], lanes: usize, packed: bool, isa: VecIsa) {
     let stats = collect_code_stats(programs);
     eprintln!(
-        "[code-stats] {name}: tiles={} ops={} lanes={lanes} packed={packed} layout={} simd={}",
+        "[code-stats] {name}: tiles={} ops={} lanes={lanes} packed={packed} simd={}",
         stats.tiles,
         stats.total_ops,
-        if word_major { "word" } else { "lane" },
         isa.name(),
     );
     for o in &stats.opcodes {

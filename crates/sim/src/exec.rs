@@ -55,32 +55,24 @@
 //! (packed *scratch* values may keep changing, but are never read back
 //! for a retired lane).
 //!
-//! # Strided memory layout: lane-major vs word-interleaved
+//! # Strided memory layout: one rule
 //!
-//! The multi-bit ("strided") state of a gang — arena, register file,
-//! input buffer, and the strided mailbox sections — exists in one of
-//! two layouts, chosen per engine at compile time
-//! ([`crate::engine::LayoutChoice`], resolved in `Compiled::new`):
+//! The multi-bit ("strided") state — arena, register file, input
+//! buffer, and the strided mailbox sections — has one layout: word
+//! `off` of lane `l` lives at `off * lanes + l`. The `lanes` copies of
+//! one word are contiguous, so a per-opcode lane sweep is a dense loop
+//! over `&[u64]` rows ([`crate::simd`]) and per-lane I/O strides by
+//! `lanes`. At one lane the rule is just `off`: the single-scenario
+//! engine's buffers are the plain single-lane layout.
 //!
-//! * **lane-major** (`[lane × words]`): word `off` of lane `l` lives at
-//!   `l * stride + off` — each lane's block is contiguous, so one
-//!   lane's multi-word values are dense but a cross-lane sweep of one
-//!   word gathers at stride `stride`;
-//! * **word-interleaved** (`[word × lanes]`): word `off` of lane `l`
-//!   lives at `off * lanes + l` — the `lanes` copies of one word are
-//!   contiguous, so the per-opcode lane sweeps become dense vector
-//!   loops ([`crate::simd`]) at the cost of strided per-lane I/O.
-//!
-//! The layout is a type parameter ([`Layout`]: [`LaneMajor`] /
-//! [`WordMajor`]) of every phase function, so the hot loop is
-//! monomorphized per layout and the index arithmetic const-folds.
-//! Transpose rules: the **packed** 1-bit domain and the per-lane
-//! **array** copies are layout-invariant (packed blocks are already
-//! lane-transposed; array elements stay lane-major so one element's
-//! words stay contiguous), and the packed tails of the register file /
-//! input buffer / mailboxes keep their absolute offsets. `PACK` reads
-//! one bit per lane from either layout and `UNPACK` scatters back;
-//! only the strided sections between those boundaries re-shape.
+//! What the rule does not touch: the **packed** 1-bit domain (packed
+//! blocks are already lane-transposed) and the per-lane **array**
+//! copies (lane `l`'s copy is the contiguous block
+//! `[l * words, (l + 1) * words)`, so one element's words stay
+//! together — array traffic is index-scattered anyway). The packed
+//! tails of the register file / input buffer / mailboxes keep their
+//! absolute offsets. `PACK` reads one bit per lane out of the strided
+//! arena and `UNPACK` scatters back.
 //!
 //! # The hot loop
 //!
@@ -92,20 +84,17 @@
 //! of the survivors — finished lanes' registers, arrays, and mailbox
 //! slots are simply never touched again, freezing their state.
 //!
-//! # Chunked lane sweeps and runtime SIMD dispatch
-//!
-//! Lane sets expose two iteration shapes: [`LaneSet::for_each`] (one
-//! call per lane — copies, transposes, per-lane gathers) and
-//! [`LaneSet::for_each_chunk`] (one call per maximal run of
-//! consecutive lanes). In the word-interleaved layout a chunk of a
-//! fused single-word opcode is a dense `&[u64]` map, dispatched to the
-//! vector kernels of [`crate::simd`]: AVX2 on x86_64 / NEON on aarch64
-//! when the CPU has them (detected **once** at engine build, stored as
-//! [`crate::simd::VecIsa`] in the shared state), an autovectorizable
-//! scalar chunk loop otherwise — so [`AllLanes`] sweeps 4–8 lanes per
-//! step while [`OneLane`] and sparse [`LaneList`]s keep cheap scalar
-//! paths. In the lane-major layout every fused opcode keeps the
-//! original strided scalar sweep regardless of ISA.
+//! The loop is monomorphized per [`LaneSet`], three ways. Under
+//! [`OneLane`] every opcode is a plain scalar statement on the
+//! single-lane buffers. Under [`AllLanes`] and [`LaneList`] lane sets
+//! expose two iteration shapes: [`LaneSet::for_each`] (one call per
+//! lane — transposes, per-lane gathers) and
+//! [`LaneSet::for_each_chunk`] (one call per maximal run of consecutive
+//! lanes). A chunk of a fused single-word opcode is a dense `&[u64]`
+//! map handed to the lane kernels of [`crate::simd`]; which
+//! instantiation of those kernels runs is decided **once** at engine
+//! build from the CPU and the lane count ([`crate::simd::VecIsa`], kept
+//! in the shared state).
 //!
 //! # Flush/compute overlap
 //!
@@ -121,8 +110,8 @@ use crate::bsp::{BspPhases, TilePhases};
 use crate::checkpoint::{auto_checkpoint_from_env, Fingerprint, Snapshot, SnapshotError};
 use crate::checkpoint::{TileShape, TileState};
 use crate::engine::{
-    bin1, eval_op, sext1, un1, worker_groups, ArrayHome, Compiled, LayoutChoice, Mailbox,
-    OutputHome, PhaseBarrier, PortSend, Program, RecSrc, RegHome, RegSend, Step,
+    bin1, eval_op, sext1, un1, worker_groups, ArrayHome, Compiled, Mailbox, OutputHome,
+    PhaseBarrier, PortSend, Program, RecSrc, RegHome, RegSend, Step,
 };
 use crate::fault::{FaultKind, FaultPlan, TileFault};
 use crate::simd::{vbin, vconcat, vmux, vsext, vslice, vun, vzext, VecIsa};
@@ -136,7 +125,6 @@ use parendi_telemetry::{
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock, RwLock};
@@ -1312,23 +1300,38 @@ fn lower_step(ctx: &mut LowerCtx, packed: bool, step: &Step) {
 /// ([`AllLanes`]) runs a dense counted loop, and early-exited gangs
 /// ([`LaneList`]) skip finished lanes at dispatch granularity.
 pub(crate) trait LaneSet: Copy {
+    /// `true` only for [`OneLane`]: the engine has exactly one lane, so
+    /// `off * lanes + lane` is `off` and every opcode is one scalar
+    /// statement instead of a sweep.
+    const ONE: bool = false;
+    /// The interleave width to index a tile of `tile_lanes` lanes with
+    /// — a compile-time 1 under [`OneLane`], so the per-lane rule
+    /// `off * width + lane` folds to `off` there.
+    #[inline(always)]
+    fn width(tile_lanes: usize) -> usize {
+        if Self::ONE {
+            1
+        } else {
+            tile_lanes
+        }
+    }
     /// Number of lanes swept.
     fn count(&self) -> usize;
     /// Calls `f` once per active lane index.
     fn for_each(&self, f: impl FnMut(usize));
     /// Calls `f(start, len)` once per maximal run of **consecutive**
-    /// active lanes — the dense blocks the word-interleaved vector
-    /// kernels sweep. [`AllLanes`] yields one full-gang block,
-    /// [`OneLane`] a single unit block, and a [`LaneList`] one block
-    /// per survivor run.
+    /// active lanes — the dense blocks the lane kernels sweep.
+    /// [`AllLanes`] yields one full-gang block, [`OneLane`] a single
+    /// unit block, and a [`LaneList`] one block per survivor run.
     fn for_each_chunk(&self, f: impl FnMut(usize, usize));
 }
 
-/// Exactly lane 0 (the single-scenario engine).
+/// Exactly lane 0 of a one-lane engine (the single-scenario engine).
 #[derive(Clone, Copy)]
 pub(crate) struct OneLane;
 
 impl LaneSet for OneLane {
+    const ONE: bool = true;
     #[inline(always)]
     fn count(&self) -> usize {
         1
@@ -1396,89 +1399,50 @@ impl LaneSet for LaneList<'_> {
     }
 }
 
-/// The strided memory layout of a gang's multi-bit state, a type
-/// parameter of every phase function (see the module docs). `at` is
-/// the one indexing rule: word `off` of lane `l` in a buffer of
-/// per-lane stride `stride` shared by `nl` lanes.
-pub(crate) trait Layout: Copy + 'static {
-    /// `true` for the word-interleaved layout (dense lane sweeps).
-    const WM: bool;
-    /// Index of word `off` of lane `l`.
-    fn at(off: usize, l: usize, stride: usize, nl: usize) -> usize;
-}
-
-/// `[lane × words]`: word `off` of lane `l` at `l * stride + off`.
-#[derive(Clone, Copy)]
-pub(crate) struct LaneMajor;
-
-impl Layout for LaneMajor {
-    const WM: bool = false;
-    #[inline(always)]
-    fn at(off: usize, l: usize, stride: usize, _nl: usize) -> usize {
-        l * stride + off
-    }
-}
-
-/// `[word × lanes]`: word `off` of lane `l` at `off * nl + l`.
-#[derive(Clone, Copy)]
-pub(crate) struct WordMajor;
-
-impl Layout for WordMajor {
-    const WM: bool = true;
-    #[inline(always)]
-    fn at(off: usize, l: usize, _stride: usize, nl: usize) -> usize {
-        off * nl + l
-    }
-}
-
 /// Lane-strided mutable state of one tile: `lanes` copies of the
-/// single-lane layout, in whichever [`Layout`] the gang was compiled
-/// for (lane-major or word-interleaved; see the module docs). Guarded
-/// by a `Mutex` purely for the testbench API; workers lock it once per
-/// `run`, not per cycle.
+/// single-lane layout, word `off` of lane `l` at `off * lanes + l` (see
+/// the module docs). Guarded by a `Mutex` purely for the testbench API;
+/// workers lock it once per `run`, not per cycle.
 #[derive(Debug)]
 pub(crate) struct LaneTile {
-    /// `lanes × aw` words of combinational values.
+    /// `arena_words × lanes` words of combinational values.
     pub arena: Vec<u64>,
     /// Packed scratch arena: one `pw`-word block per packed 1-bit net
     /// (packed mode only; empty otherwise).
     pub packed: Vec<u64>,
-    /// `lanes × rw` strided words — this tile's own wide registers,
-    /// `RegId` order within each lane block — followed by the packed
-    /// tail (one `pw`-word block per 1-bit register in packed mode).
+    /// `rw × lanes` strided words — this tile's own wide registers,
+    /// `RegId` order — followed by the packed tail (one `pw`-word block
+    /// per 1-bit register in packed mode).
     pub reg_cur: Vec<u64>,
-    /// Local copies of held arrays, each `lanes × arr_words[i]` words
-    /// (always lane-major; array traffic is index-scattered anyway).
+    /// Local copies of held arrays, each `lanes × arr_words[i]` words,
+    /// one contiguous block per lane (array traffic is index-scattered
+    /// anyway).
     pub arrays: Vec<Vec<u64>>,
-    /// Per-lane arena stride in words.
-    pub aw: usize,
-    /// Per-lane register-file stride in words (strided section).
+    /// Single-lane register-file size in words (strided section).
     pub rw: usize,
     /// Per-lane words of each held array (depth × element words).
     pub arr_words: Vec<usize>,
-    /// Total gang lane count (the interleave width under `WordMajor`).
+    /// Total gang lane count (the interleave width).
     pub lanes: usize,
-    /// `aw`-word single-lane scratch for `WIDE` steps under `WordMajor`
-    /// (gather operands → slice kernels → scatter result); empty in
-    /// lane-major tiles, whose arena blocks are already contiguous.
+    /// Single-lane-arena-sized scratch for `WIDE` steps of a gang (gather
+    /// operands → slice kernels → scatter result); empty at one lane,
+    /// where the arena already is one contiguous block.
     pub scratch: Vec<u64>,
 }
 
 /// Executes one tile's bytecode at cycle `c` for every lane in `lanes`:
-/// **the** hot loop. One dispatch per instruction; fused single-word
-/// opcodes run plain `u64` kernels across the lane sweep — or the
-/// [`VecIsa`] vector kernels over dense lane chunks when the tile is
-/// word-interleaved — copies run as blocks, and multi-word operations
-/// fall back to the slice kernels on each lane's contiguous arena
-/// block (gathered through `scratch` under [`WordMajor`]).
+/// **the** hot loop. One dispatch per instruction. Under [`OneLane`] a
+/// fused single-word opcode is one plain `u64` kernel call and copies
+/// are block copies; for a gang the same opcode hands each dense lane
+/// chunk to the [`crate::simd`] kernels, copies move lane rows, and
+/// multi-word operations gather one lane at a time through `scratch`
+/// into the slice kernels.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
+pub(crate) fn exec_code<L: LaneSet>(
     code: &Code,
     tile: &mut LaneTile,
     inputs: &[u64],
-    input_stride: usize,
     channels: &[Mailbox],
-    mail_words: &[u32],
     read_parity: usize,
     lanes: L,
     isa: VecIsa,
@@ -1488,13 +1452,16 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
         packed,
         reg_cur,
         arrays,
-        aw,
-        rw,
         arr_words,
         lanes: nl,
         scratch,
+        ..
     } = tile;
-    let (astride, rstride, nl) = (*aw, *rw, *nl);
+    let nl = L::width(*nl);
+    // Bind the buffers as plain slices once: every arm below indexes
+    // them, and through `&mut Vec` the one-lane loop measured 4-5 %
+    // slower on `single_compute`.
+    let (arena, packed, reg_cur) = (&mut arena[..], &mut packed[..], &reg_cur[..]);
     let args = &code.args[..];
     let mut p = 0usize;
     // The operand cursor is validated once at lowering time
@@ -1507,26 +1474,22 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
         };
     }
 
-    // Shared decode for the fused unary / binary families. The
-    // word-interleaved branch splits the arena at the destination word:
-    // operands strictly precede their destination (bump allocation), so
-    // every source block lives in the left half and the borrow is
-    // always well-formed.
+    // Shared decode for the fused unary / binary families. The gang
+    // branch splits the arena at the destination row: operands strictly
+    // precede their destination (bump allocation), so every source row
+    // lives in the left half and the borrow is always well-formed.
     macro_rules! u1 {
         ($opv:expr, $imm:expr) => {{
             let imm = $imm;
             let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
             p += 2;
             let (w, opw) = ((imm & 0x7f) as u32, (imm >> 7) as u32);
-            if Y::WM {
+            if L::ONE {
+                arena[dst] = un1($opv, arena[a], w, opw);
+            } else {
                 let (src, d) = arena.split_at_mut(dst * nl);
                 lanes.for_each_chunk(|s, n| {
                     vun(isa, $opv, &mut d[s..s + n], &src[a * nl + s..][..n], w, opw);
-                });
-            } else {
-                lanes.for_each(|l| {
-                    let b = l * astride;
-                    arena[b + dst] = un1($opv, arena[b + a], w, opw);
                 });
             }
         }};
@@ -1537,7 +1500,9 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
             let (dst, a, bb) = (arg!(0) as usize, arg!(1) as usize, arg!(2) as usize);
             p += 3;
             let (w, opw) = ((imm & 0x7f) as u32, (imm >> 7) as u32);
-            if Y::WM {
+            if L::ONE {
+                arena[dst] = bin1($opv, arena[a], arena[bb], w, opw);
+            } else {
                 let (src, d) = arena.split_at_mut(dst * nl);
                 lanes.for_each_chunk(|s, n| {
                     vbin(
@@ -1550,11 +1515,25 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                         opw,
                     );
                 });
+            }
+        }};
+    }
+    // `imm` words from `$src` at `src` into the arena at `dst`: one
+    // block at one lane; for a gang, word-outer — each word's lane row
+    // is contiguous in both buffers, so chunks copy as dense rows.
+    macro_rules! copy_in {
+        ($buf:expr, $dst:expr, $src:expr, $imm:expr) => {{
+            let buf: &[u64] = &$buf[..];
+            let (dst, src, imm) = ($dst, $src, $imm);
+            if L::ONE {
+                arena[dst..dst + imm].copy_from_slice(&buf[src..src + imm]);
             } else {
-                lanes.for_each(|l| {
-                    let b = l * astride;
-                    arena[b + dst] = bin1($opv, arena[b + a], arena[b + bb], w, opw);
-                });
+                for k in 0..imm {
+                    let (db, sb) = ((dst + k) * nl, (src + k) * nl);
+                    lanes.for_each_chunk(|s, n| {
+                        arena[db + s..db + s + n].copy_from_slice(&buf[sb + s..sb + s + n]);
+                    });
+                }
             }
         }};
     }
@@ -1565,38 +1544,12 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
             op::COPY_INPUT => {
                 let (dst, src) = (arg!(0) as usize, arg!(1) as usize);
                 p += 2;
-                if Y::WM {
-                    // Word-outer: each word's lane row is contiguous in
-                    // both buffers, so chunks copy as dense blocks.
-                    for k in 0..imm {
-                        let (db, sb) = ((dst + k) * nl, (src + k) * nl);
-                        lanes.for_each_chunk(|s, n| {
-                            arena[db + s..db + s + n].copy_from_slice(&inputs[sb + s..sb + s + n]);
-                        });
-                    }
-                } else {
-                    lanes.for_each(|l| {
-                        let (db, sb) = (l * astride + dst, l * input_stride + src);
-                        arena[db..db + imm].copy_from_slice(&inputs[sb..sb + imm]);
-                    });
-                }
+                copy_in!(inputs, dst, src, imm);
             }
             op::COPY_REG => {
                 let (dst, src) = (arg!(0) as usize, arg!(1) as usize);
                 p += 2;
-                if Y::WM {
-                    for k in 0..imm {
-                        let (db, sb) = ((dst + k) * nl, (src + k) * nl);
-                        lanes.for_each_chunk(|s, n| {
-                            arena[db + s..db + s + n].copy_from_slice(&reg_cur[sb + s..sb + s + n]);
-                        });
-                    }
-                } else {
-                    lanes.for_each(|l| {
-                        let (db, sb) = (l * astride + dst, l * rstride + src);
-                        arena[db..db + imm].copy_from_slice(&reg_cur[sb..sb + imm]);
-                    });
-                }
+                copy_in!(reg_cur, dst, src, imm);
             }
             op::COPY_MAIL => {
                 let (dst, ch, src) = (arg!(0) as usize, arg!(1) as usize, arg!(2) as usize);
@@ -1604,20 +1557,7 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                 // SAFETY: epoch discipline — no writer of `read_parity`
                 // exists during the computation phase (see Mailbox).
                 let buf = unsafe { channels[ch].read(read_parity) };
-                let mw = mail_words[ch] as usize;
-                if Y::WM {
-                    for k in 0..imm {
-                        let (db, sb) = ((dst + k) * nl, (src + k) * nl);
-                        lanes.for_each_chunk(|s, n| {
-                            arena[db + s..db + s + n].copy_from_slice(&buf[sb + s..sb + s + n]);
-                        });
-                    }
-                } else {
-                    lanes.for_each(|l| {
-                        let (db, sb) = (l * astride + dst, l * mw + src);
-                        arena[db..db + imm].copy_from_slice(&buf[sb..sb + imm]);
-                    });
-                }
+                copy_in!(buf, dst, src, imm);
             }
             op::ARRAY_READ => {
                 let (dst, arr, idx, depth) = (
@@ -1630,11 +1570,19 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                 let (idx_w, n) = (imm & 0xff, imm >> 8);
                 let words = arr_words[arr];
                 let a = &arrays[arr];
-                if Y::WM {
-                    // Arrays stay lane-major (index-scattered traffic);
+                if L::ONE {
+                    let index = word::fold_index(&arena[idx..idx + idx_w]);
+                    if index < depth {
+                        let sb = index as usize * n;
+                        arena[dst..dst + n].copy_from_slice(&a[sb..sb + n]);
+                    } else {
+                        arena[dst..dst + n].fill(0);
+                    }
+                } else {
+                    // Each lane's array copy is one contiguous block;
                     // only the arena side is interleaved.
                     lanes.for_each(|l| {
-                        let index = fold_index_at::<Y>(arena, idx, idx_w, l, astride, nl);
+                        let index = fold_index_at(arena, idx, idx_w, l, nl);
                         if index < depth {
                             let sb = l * words + index as usize * n;
                             for k in 0..n {
@@ -1644,18 +1592,6 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                             for k in 0..n {
                                 arena[(dst + k) * nl + l] = 0;
                             }
-                        }
-                    });
-                } else {
-                    lanes.for_each(|l| {
-                        let base = l * astride;
-                        let index = word::fold_index(&arena[base + idx..base + idx + idx_w]);
-                        let db = base + dst;
-                        if index < depth {
-                            let sb = l * words + index as usize * n;
-                            arena[db..db + n].copy_from_slice(&a[sb..sb + n]);
-                        } else {
-                            arena[db..db + n].fill(0);
                         }
                     });
                 }
@@ -1688,7 +1624,10 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                     arg!(3) as usize,
                 );
                 p += 4;
-                if Y::WM {
+                if L::ONE {
+                    let pick = if arena[sel] & 1 == 1 { t } else { f };
+                    arena[dst] = arena[pick];
+                } else {
                     let (src, d) = arena.split_at_mut(dst * nl);
                     lanes.for_each_chunk(|s, n| {
                         vmux(
@@ -1699,12 +1638,6 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                             &src[f * nl + s..][..n],
                         );
                     });
-                } else {
-                    lanes.for_each(|l| {
-                        let b = l * astride;
-                        let pick = if arena[b + sel] & 1 == 1 { t } else { f };
-                        arena[b + dst] = arena[b + pick];
-                    });
                 }
             }
             op::SLICE1 => {
@@ -1712,32 +1645,24 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                 p += 2;
                 let lo = (imm & 0x3f) as u32;
                 let w = (imm >> 6) as u32;
-                if Y::WM {
+                if L::ONE {
+                    arena[dst] = (arena[a] >> lo) & top_word_mask(w);
+                } else {
                     let (src, d) = arena.split_at_mut(dst * nl);
                     lanes.for_each_chunk(|s, n| {
                         vslice(isa, &mut d[s..s + n], &src[a * nl + s..][..n], lo, w);
-                    });
-                } else {
-                    let m = top_word_mask(w);
-                    lanes.for_each(|l| {
-                        let b = l * astride;
-                        arena[b + dst] = (arena[b + a] >> lo) & m;
                     });
                 }
             }
             op::ZEXT1 => {
                 let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
                 p += 2;
-                if Y::WM {
+                if L::ONE {
+                    arena[dst] = arena[a] & top_word_mask(imm as u32);
+                } else {
                     let (src, d) = arena.split_at_mut(dst * nl);
                     lanes.for_each_chunk(|s, n| {
                         vzext(isa, &mut d[s..s + n], &src[a * nl + s..][..n], imm as u32);
-                    });
-                } else {
-                    let m = top_word_mask(imm as u32);
-                    lanes.for_each(|l| {
-                        let b = l * astride;
-                        arena[b + dst] = arena[b + a] & m;
                     });
                 }
             }
@@ -1745,15 +1670,12 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                 let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
                 p += 2;
                 let (aw, w) = ((imm & 0x7f) as u32, (imm >> 7) as u32);
-                if Y::WM {
+                if L::ONE {
+                    arena[dst] = sext1(arena[a], aw, w);
+                } else {
                     let (src, d) = arena.split_at_mut(dst * nl);
                     lanes.for_each_chunk(|s, n| {
                         vsext(isa, &mut d[s..s + n], &src[a * nl + s..][..n], aw, w);
-                    });
-                } else {
-                    lanes.for_each(|l| {
-                        let b = l * astride;
-                        arena[b + dst] = sext1(arena[b + a], aw, w);
                     });
                 }
             }
@@ -1762,7 +1684,9 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                 p += 3;
                 let low_w = (imm & 0x3f) as u32;
                 let w = (imm >> 6) as u32;
-                if Y::WM {
+                if L::ONE {
+                    arena[dst] = (arena[lo] | (arena[hi] << low_w)) & top_word_mask(w);
+                } else {
                     let (src, d) = arena.split_at_mut(dst * nl);
                     lanes.for_each_chunk(|s, n| {
                         vconcat(
@@ -1774,17 +1698,13 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                             w,
                         );
                     });
-                } else {
-                    let m = top_word_mask(w);
-                    lanes.for_each(|l| {
-                        let b = l * astride;
-                        arena[b + dst] = (arena[b + lo] | (arena[b + hi] << low_w)) & m;
-                    });
                 }
             }
             op::WIDE => {
                 let step = &code.wide[imm];
-                if Y::WM {
+                if L::ONE {
+                    eval_op(arena, step);
+                } else {
                     // Gather the operand words of one lane into the
                     // contiguous scratch block (at their original
                     // offsets), run the slice kernels, scatter the
@@ -1804,8 +1724,6 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                             arena[(doff + k) * nl + l] = scratch[doff + k];
                         }
                     });
-                } else {
-                    lanes.for_each(|l| eval_op(&mut arena[l * astride..(l + 1) * astride], step));
                 }
             }
             op::PACK => {
@@ -1827,7 +1745,7 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                         }
                         (wi, acc, got) = (i, 0, 0);
                     }
-                    acc |= (arena[Y::at(src, l, astride, nl)] & 1) << (l % 64);
+                    acc |= (arena[src * nl + l] & 1) << (l % 64);
                     got |= 1u64 << (l % 64);
                 });
                 if wi != usize::MAX {
@@ -1847,7 +1765,7 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                     if i != wi {
                         (wi, cur) = (i, packed[psrc + i]);
                     }
-                    arena[Y::at(dst, l, astride, nl)] = (cur >> (l % 64)) & 1;
+                    arena[dst * nl + l] = (cur >> (l % 64)) & 1;
                 });
             }
             op::PNOT => {
@@ -1940,7 +1858,11 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                 p += 4;
                 let (w, sw) = ((imm & 0x7f) as u32, ((imm >> 7) & 0x7f) as u32);
                 let mw = (imm >> 14) as u32;
-                if Y::WM {
+                if L::ONE {
+                    let tv = bin1(opv, arena[a], arena[bs], w, sw);
+                    arena[t] = tv;
+                    arena[d] = tv & top_word_mask(mw);
+                } else {
                     {
                         let (src, dt) = arena.split_at_mut(t * nl);
                         lanes.for_each_chunk(|s, n| {
@@ -1959,14 +1881,6 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                     lanes.for_each_chunk(|s, n| {
                         vzext(isa, &mut dd[s..s + n], &src[t * nl + s..][..n], mw);
                     });
-                } else {
-                    let m = top_word_mask(mw);
-                    lanes.for_each(|l| {
-                        let b = l * astride;
-                        let tv = bin1(opv, arena[b + a], arena[b + bs], w, sw);
-                        arena[b + t] = tv;
-                        arena[b + d] = tv & m;
-                    });
                 }
             }
             op::MUX2 => {
@@ -1981,7 +1895,16 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                 );
                 p += 7;
                 let pol = imm & 1;
-                if Y::WM {
+                if L::ONE {
+                    let tv = if arena[sel1] & 1 == 1 {
+                        arena[a]
+                    } else {
+                        arena[bb]
+                    };
+                    arena[t] = tv;
+                    let sv = arena[sel2] & 1 == 1;
+                    arena[d] = if (pol == 0) == sv { tv } else { arena[cc] };
+                } else {
                     {
                         let (src, dt) = arena.split_at_mut(t * nl);
                         lanes.for_each_chunk(|s, n| {
@@ -2007,18 +1930,6 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
                             &src[pf * nl + s..][..n],
                         );
                     });
-                } else {
-                    lanes.for_each(|l| {
-                        let b = l * astride;
-                        let tv = if arena[b + sel1] & 1 == 1 {
-                            arena[b + a]
-                        } else {
-                            arena[b + bb]
-                        };
-                        arena[b + t] = tv;
-                        let sv = arena[b + sel2] & 1 == 1;
-                        arena[b + d] = if (pol == 0) == sv { tv } else { arena[b + cc] };
-                    });
                 }
             }
             other => unreachable!("unknown opcode {other}"),
@@ -2026,21 +1937,15 @@ pub(crate) fn exec_code<L: LaneSet, Y: Layout>(
     }
 }
 
-/// Folds a multi-word index operand for one lane through the layout's
-/// indexing rule — the layout-generic [`word::fold_index`].
+/// Folds a multi-word index operand of lane `l` out of a strided buffer
+/// shared by `nl` lanes — [`word::fold_index`] through the
+/// `off * nl + l` indexing rule.
 #[inline(always)]
-fn fold_index_at<Y: Layout>(
-    buf: &[u64],
-    off: usize,
-    w: usize,
-    l: usize,
-    stride: usize,
-    nl: usize,
-) -> u64 {
-    let v0 = buf[Y::at(off, l, stride, nl)];
+fn fold_index_at(buf: &[u64], off: usize, w: usize, l: usize, nl: usize) -> u64 {
+    let v0 = buf[off * nl + l];
     let mut hi = 0u64;
     for k in 1..w {
-        hi |= buf[Y::at(off + k, l, stride, nl)];
+        hi |= buf[(off + k) * nl + l];
     }
     if hi != 0 || v0 > u32::MAX as u64 {
         u64::MAX
@@ -2049,9 +1954,9 @@ fn fold_index_at<Y: Layout>(
     }
 }
 
-/// Operand and destination word ranges of a `WIDE` step, for the
-/// word-interleaved gather/scatter: up to three `(offset, words)`
-/// operand ranges (with the live count) plus the destination range.
+/// Operand and destination word ranges of a `WIDE` step, for the gang
+/// gather/scatter: up to three `(offset, words)` operand ranges (with
+/// the live count) plus the destination range.
 fn wide_ranges(step: &Step) -> ([(u32, u32); 3], usize, (u32, u32)) {
     let mut r = [(0u32, 0u32); 3];
     let (n, dst) = match *step {
@@ -2121,13 +2026,11 @@ fn wide_ranges(step: &Step) -> ([(u32, u32); 3], usize, (u32, u32)) {
 /// between compute and latch so commits *and* sends both observe the
 /// faulted next-state bits.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_phase<L: LaneSet, Y: Layout>(
+pub(crate) fn compute_phase<L: LaneSet>(
     prog: &Program,
     tile: &mut LaneTile,
     inputs: &[u64],
-    input_stride: usize,
     channels: &[Mailbox],
-    mail_words: &[u32],
     lanes: L,
     c: u64,
     pw: usize,
@@ -2135,47 +2038,40 @@ pub(crate) fn compute_phase<L: LaneSet, Y: Layout>(
     faults: &[TileFault],
     isa: VecIsa,
 ) {
-    exec_code::<L, Y>(
+    exec_code(
         &prog.code,
         tile,
         inputs,
-        input_stride,
         channels,
-        mail_words,
         (c & 1) as usize,
         lanes,
         isa,
     );
     if !faults.is_empty() {
-        apply_faults::<Y>(faults, tile, c, pw);
+        apply_faults(faults, tile, c, pw);
     }
     let write_parity = ((c & 1) ^ 1) as usize;
     let LaneTile {
         arena,
         packed,
         reg_cur,
-        aw,
-        rw,
         lanes: nl,
         ..
     } = tile;
-    let (aw, rw, nl) = (*aw, *rw, *nl);
+    let nl = L::width(*nl);
     // Latch own registers, every active lane: tile-local, nobody else
     // reads them. Finished lanes keep their last latched values forever.
     for rc in &prog.commits {
         let (d, s, n) = (rc.dst as usize, rc.local as usize, rc.nw as usize);
-        if Y::WM {
+        if L::ONE {
+            reg_cur[d..d + n].copy_from_slice(&arena[s..s + n]);
+        } else {
             for k in 0..n {
                 let (db, sb) = ((d + k) * nl, (s + k) * nl);
                 lanes.for_each_chunk(|ls, ln| {
                     reg_cur[db + ls..db + ls + ln].copy_from_slice(&arena[sb + ls..sb + ls + ln]);
                 });
             }
-        } else {
-            lanes.for_each(|l| {
-                let (db, sb) = (l * rw + d, l * aw + s);
-                reg_cur[db..db + n].copy_from_slice(&arena[sb..sb + n]);
-            });
         }
     }
     for pc in &prog.packed_commits {
@@ -2189,22 +2085,13 @@ pub(crate) fn compute_phase<L: LaneSet, Y: Layout>(
         }
     }
     for send in &prog.sends {
-        push_reg_send::<L, Y>(
-            send,
-            arena,
-            aw,
-            nl,
-            channels,
-            mail_words,
-            lanes,
-            write_parity,
-        );
+        push_reg_send(send, arena, nl, channels, lanes, write_parity);
     }
     for ps in &prog.packed_sends {
         push_packed_send(ps, packed, pw, channels, write_parity, mask);
     }
     for ps in &prog.port_sends {
-        stage_port_record::<L, Y>(ps, arena, aw, nl, channels, mail_words, lanes, write_parity);
+        stage_port_record(ps, arena, nl, channels, lanes, write_parity);
     }
 }
 
@@ -2213,8 +2100,8 @@ pub(crate) fn compute_phase<L: LaneSet, Y: Layout>(
 /// stuck-at masks every cycle, transient flips on their one cycle. A
 /// handful of AND/OR/XOR word ops per faulted net, no per-step
 /// branching: in packed mode one mask op covers 64 lanes at once.
-fn apply_faults<Y: Layout>(faults: &[TileFault], tile: &mut LaneTile, c: u64, pw: usize) {
-    let (aw, nl) = (tile.aw, tile.lanes);
+fn apply_faults(faults: &[TileFault], tile: &mut LaneTile, c: u64, pw: usize) {
+    let nl = tile.lanes;
     for f in faults {
         match f {
             TileFault::Packed {
@@ -2243,7 +2130,7 @@ fn apply_faults<Y: Layout>(faults: &[TileFault], tile: &mut LaneTile, c: u64, pw
                 or_mask,
                 flips,
             } => {
-                let w = &mut tile.arena[Y::at(*local as usize, *lane as usize, aw, nl)];
+                let w = &mut tile.arena[*local as usize * nl + *lane as usize];
                 *w = (*w & and_mask) | or_mask;
                 for &(at, m) in flips {
                     if at == c {
@@ -2258,40 +2145,31 @@ fn apply_faults<Y: Layout>(faults: &[TileFault], tile: &mut LaneTile, c: u64, pw
 /// Copies one outbound register value into its mailbox segment, every
 /// active lane.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn push_reg_send<L: LaneSet, Y: Layout>(
+fn push_reg_send<L: LaneSet>(
     send: &RegSend,
     arena: &[u64],
-    aw: usize,
     nl: usize,
     channels: &[Mailbox],
-    mail_words: &[u32],
     lanes: L,
     write_parity: usize,
 ) {
-    let mw = mail_words[send.ch as usize] as usize;
+    let (local, dst, nw) = (send.local as usize, send.dst as usize, send.nw as usize);
     // SAFETY: epoch discipline — no reader of `write_parity` exists
-    // during this phase, and this thread exclusively owns the segment
-    // `[dst, dst + nw)` of every lane block (compile-time layout).
+    // during this phase, and this thread exclusively owns the rows
+    // `[dst, dst + nw)` of the mailbox (compile-time layout).
     unsafe {
         let base = channels[send.ch as usize].write_base(write_parity);
-        if Y::WM {
+        if L::ONE {
+            std::ptr::copy_nonoverlapping(arena.as_ptr().add(local), base.add(dst), nw);
+        } else {
             // Word-outer: each word's lane row is contiguous in both
             // the arena and the mailbox, so chunks copy as dense rows.
-            for k in 0..send.nw as usize {
-                let (sb, db) = ((send.local as usize + k) * nl, (send.dst as usize + k) * nl);
+            for k in 0..nw {
+                let (sb, db) = ((local + k) * nl, (dst + k) * nl);
                 lanes.for_each_chunk(|s, n| {
                     std::ptr::copy_nonoverlapping(arena.as_ptr().add(sb + s), base.add(db + s), n);
                 });
             }
-        } else {
-            lanes.for_each(|l| {
-                std::ptr::copy_nonoverlapping(
-                    arena.as_ptr().add(l * aw + send.local as usize),
-                    base.add(l * mw + send.dst as usize),
-                    send.nw as usize,
-                );
-            });
         }
     }
 }
@@ -2326,41 +2204,33 @@ fn push_packed_send(
 }
 
 /// Copies one port record `(enable, index, data)` into every
-/// destination slot of `ps`, every active lane. All reads and writes go
-/// through the layout's indexing rule — the record words land
-/// interleaved in the mailbox exactly like the strided register words.
+/// destination slot of `ps`, every active lane. The record words land
+/// in the mailbox under the same `off * nl + lane` rule as the strided
+/// register words.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn stage_port_record<L: LaneSet, Y: Layout>(
+fn stage_port_record<L: LaneSet>(
     ps: &PortSend,
     arena: &[u64],
-    aw: usize,
     nl: usize,
     channels: &[Mailbox],
-    mail_words: &[u32],
     lanes: L,
     write_parity: usize,
 ) {
     lanes.for_each(|l| {
-        let en = arena[Y::at(ps.en as usize, l, aw, nl)] & 1;
-        let idx = fold_index_at::<Y>(arena, ps.idx as usize, ps.idx_w as usize, l, aw, nl);
+        let en = arena[ps.en as usize * nl + l] & 1;
+        let idx = fold_index_at(arena, ps.idx as usize, ps.idx_w as usize, l, nl);
         for &(ch, off) in &ps.dests {
-            let mw = mail_words[ch as usize] as usize;
             let off = off as usize;
             // SAFETY: epoch discipline — no reader of `write_parity`
             // exists during this phase, and this thread exclusively owns
-            // the record segment at `off` in every lane block.
+            // the record rows at `off` in every lane.
             unsafe {
                 let base = channels[ch as usize].write_base(write_parity);
-                *base.add(Y::at(off, l, mw, nl)) = en;
-                *base.add(Y::at(off + 1, l, mw, nl)) = idx;
+                *base.add(off * nl + l) = en;
+                *base.add((off + 1) * nl + l) = idx;
                 for k in 0..ps.nw as usize {
-                    *base.add(Y::at(
-                        off + PORT_RECORD_HEADER_WORDS as usize + k,
-                        l,
-                        mw,
-                        nl,
-                    )) = arena[Y::at(ps.data as usize + k, l, aw, nl)];
+                    *base.add((off + PORT_RECORD_HEADER_WORDS as usize + k) * nl + l) =
+                        arena[(ps.data as usize + k) * nl + l];
                 }
             }
         }
@@ -2371,12 +2241,10 @@ fn stage_port_record<L: LaneSet, Y: Layout>(
 /// memory copies into the epoch-`c+1` chip-pair aggregates. The modeled
 /// link occupancy is scheduled by the caller (see the worker loop) so
 /// the transfer can overlap subsequent tile compute.
-#[allow(clippy::too_many_arguments)]
-fn offchip_flush<L: LaneSet, Y: Layout>(
+fn offchip_flush<L: LaneSet>(
     prog: &Program,
     tile: &mut LaneTile,
     channels: &[Mailbox],
-    mail_words: &[u32],
     lanes: L,
     c: u64,
     pw: usize,
@@ -2384,36 +2252,25 @@ fn offchip_flush<L: LaneSet, Y: Layout>(
 ) {
     let write_parity = ((c & 1) ^ 1) as usize;
     let arena = &tile.arena;
-    let aw = tile.aw;
-    let nl = tile.lanes;
+    let nl = L::width(tile.lanes);
     for send in &prog.offchip_sends {
-        push_reg_send::<L, Y>(
-            send,
-            arena,
-            aw,
-            nl,
-            channels,
-            mail_words,
-            lanes,
-            write_parity,
-        );
+        push_reg_send(send, arena, nl, channels, lanes, write_parity);
     }
     for ps in &prog.offchip_packed_sends {
         push_packed_send(ps, &tile.packed, pw, channels, write_parity, mask);
     }
     for ps in &prog.offchip_port_sends {
-        stage_port_record::<L, Y>(ps, arena, aw, nl, channels, mail_words, lanes, write_parity);
+        stage_port_record(ps, arena, nl, channels, lanes, write_parity);
     }
 }
 
 /// Communication phase for one tile at cycle `c`, all active lanes:
 /// apply all staged port records (own and remote) to the tile's array
 /// copies in global `(array, port)` order.
-fn exchange_phase<L: LaneSet, Y: Layout>(
+fn exchange_phase<L: LaneSet>(
     prog: &Program,
     tile: &mut LaneTile,
     channels: &[Mailbox],
-    mail_words: &[u32],
     lanes: L,
     c: u64,
 ) {
@@ -2421,12 +2278,11 @@ fn exchange_phase<L: LaneSet, Y: Layout>(
     let LaneTile {
         arena,
         arrays,
-        aw,
         arr_words,
         lanes: nl,
         ..
     } = tile;
-    let (aw, nl) = (*aw, *nl);
+    let nl = L::width(*nl);
     for ap in &prog.applies {
         let nw = ap.nw as usize;
         let words = arr_words[ap.arr as usize];
@@ -2439,13 +2295,13 @@ fn exchange_phase<L: LaneSet, Y: Layout>(
                 data,
             } => {
                 lanes.for_each(|l| {
-                    let e = arena[Y::at(en as usize, l, aw, nl)] & 1;
-                    let i = fold_index_at::<Y>(arena, idx as usize, idx_w as usize, l, aw, nl);
+                    let e = arena[en as usize * nl + l] & 1;
+                    let i = fold_index_at(arena, idx as usize, idx_w as usize, l, nl);
                     if e == 1 && i < ap.depth as u64 {
-                        // Arrays are always lane-major.
+                        // Lane `l`'s array copy is one contiguous block.
                         let dst = l * words + i as usize * nw;
                         for k in 0..nw {
-                            array[dst + k] = arena[Y::at(data as usize + k, l, aw, nl)];
+                            array[dst + k] = arena[(data as usize + k) * nl + l];
                         }
                     }
                 });
@@ -2453,16 +2309,15 @@ fn exchange_phase<L: LaneSet, Y: Layout>(
             RecSrc::Mail { ch, off } => {
                 // SAFETY: after barrier 1 nobody writes `record_parity`.
                 let buf = unsafe { channels[ch as usize].read(record_parity) };
-                let mw = mail_words[ch as usize] as usize;
                 let off = off as usize;
                 lanes.for_each(|l| {
-                    let e = buf[Y::at(off, l, mw, nl)] & 1;
-                    let i = buf[Y::at(off + 1, l, mw, nl)];
+                    let e = buf[off * nl + l] & 1;
+                    let i = buf[(off + 1) * nl + l];
                     if e == 1 && i < ap.depth as u64 {
                         let dst = l * words + i as usize * nw;
                         let rb = off + PORT_RECORD_HEADER_WORDS as usize;
                         for k in 0..nw {
-                            array[dst + k] = buf[Y::at(rb + k, l, mw, nl)];
+                            array[dst + k] = buf[(rb + k) * nl + l];
                         }
                     }
                 });
@@ -2503,20 +2358,20 @@ struct CoreShared {
     transport: Box<dyn crate::transport::ChipTransport>,
     /// Number of leading on-chip mailboxes in `channels`.
     onchip: usize,
-    /// Per-lane words of each mailbox (the lane stride of its buffers).
+    /// Single-lane strided words of each mailbox (its packed tail
+    /// starts at `mail_words × lanes`).
     mail_words: Vec<u32>,
-    /// `lanes × input_stride` words, read-only during runs.
+    /// `input_stride × lanes` strided words plus the packed tail,
+    /// read-only during runs.
     inputs: RwLock<Vec<u64>>,
-    /// Per-lane input-buffer stride in words.
+    /// Single-lane strided input section size in words.
     input_stride: usize,
     lanes: usize,
     /// Words per packed 1-bit net (`ceil(lanes / 64)` in packed mode,
     /// 0 in strided mode — doubles as the mode flag).
     pw: usize,
-    /// Whether strided state is word-interleaved ([`WordMajor`]).
-    word_major: bool,
-    /// The vector ISA the fused kernels dispatch to, chosen once at
-    /// compile (`Compiled::new`).
+    /// The lane-kernel instantiation the fused opcodes dispatch to,
+    /// chosen once at compile (`Compiled::new`).
     isa: VecIsa,
     /// Surviving (not early-exited) lane indices, ascending.
     active: RwLock<Vec<u32>>,
@@ -2693,15 +2548,13 @@ impl Drop for TraceAutoWrite {
 impl<'c> EngineCore<'c> {
     /// Compiles `partition` for `lanes` scenarios and spawns the
     /// persistent worker pool (tiles fold chip-major onto threads).
-    /// With `packed`, 1-bit state is laid out bit-packed across lanes;
-    /// `layout` picks the strided memory layout (see the module docs).
+    /// With `packed`, 1-bit state is laid out bit-packed across lanes.
     pub(crate) fn new(
         circuit: &'c Circuit,
         partition: &Partition,
         threads: usize,
         lanes: usize,
         packed: bool,
-        layout: LayoutChoice,
     ) -> Self {
         Self::with_transport(
             circuit,
@@ -2709,7 +2562,6 @@ impl<'c> EngineCore<'c> {
             threads,
             lanes,
             packed,
-            layout,
             crate::transport::TransportChoice::from_env(),
         )
     }
@@ -2717,14 +2569,12 @@ impl<'c> EngineCore<'c> {
     /// [`EngineCore::new`] with an explicit off-chip transport backend
     /// (the plain constructor reads `PARENDI_TRANSPORT`). Tracing
     /// still follows `PARENDI_TRACE` (see [`TraceConfig::from_env`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_transport(
         circuit: &'c Circuit,
         partition: &Partition,
         threads: usize,
         lanes: usize,
         packed: bool,
-        layout: LayoutChoice,
         transport: crate::transport::TransportChoice,
     ) -> Self {
         Self::with_trace(
@@ -2733,7 +2583,6 @@ impl<'c> EngineCore<'c> {
             threads,
             lanes,
             packed,
-            layout,
             transport,
             TraceConfig::from_env(),
         )
@@ -2745,14 +2594,12 @@ impl<'c> EngineCore<'c> {
     /// track on the engine's [`TraceSink`]; the trace is written to the
     /// configured path when the engine drops and can be drained at any
     /// point in between.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_trace(
         circuit: &'c Circuit,
         partition: &Partition,
         threads: usize,
         lanes: usize,
         packed: bool,
-        layout: LayoutChoice,
         transport: crate::transport::TransportChoice,
         trace_cfg: TraceConfig,
     ) -> Self {
@@ -2761,7 +2608,7 @@ impl<'c> EngineCore<'c> {
             circuit,
             partition,
             threads,
-            Compiled::new(circuit, partition, lanes, packed, layout),
+            Compiled::new(circuit, partition, lanes, packed),
             transport,
             trace_cfg,
         )
@@ -2803,21 +2650,10 @@ impl<'c> EngineCore<'c> {
             onchip_mailboxes,
             tile_chip,
             pw,
-            word_major,
             isa,
             offchip_pairs,
         } = compiled;
 
-        // The one indexing rule every strided init below goes through:
-        // word `off` of lane `l` in a buffer of per-lane stride
-        // `stride` (see the Layout trait).
-        let at = |off: usize, l: usize, stride: usize| {
-            if word_major {
-                off * lanes + l
-            } else {
-                l * stride + off
-            }
-        };
         let tiles: Vec<Mutex<LaneTile>> = programs
             .iter()
             .enumerate()
@@ -2829,13 +2665,13 @@ impl<'c> EngineCore<'c> {
                 for l in 0..lanes {
                     for (off, words) in &prog.const_init {
                         for (k, &w) in words.iter().enumerate() {
-                            arena[at(*off as usize + k, l, aw)] = w;
+                            arena[(*off as usize + k) * lanes + l] = w;
                         }
                     }
                     for (ri, home) in reg_home.iter().enumerate() {
                         if home.tile == pi as u32 && !home.packed {
                             for (k, &w) in circuit.regs[ri].init.words().iter().enumerate() {
-                                reg_cur[at(home.off as usize + k, l, rw)] = w;
+                                reg_cur[(home.off as usize + k) * lanes + l] = w;
                             }
                         }
                     }
@@ -2872,7 +2708,7 @@ impl<'c> EngineCore<'c> {
                 let mut packed_buf = vec![0u64; prog.packed_words];
                 for &(off, slot) in &prog.const_packs {
                     for l in 0..lanes {
-                        let bit = arena[at(off as usize, l, aw)] & 1;
+                        let bit = arena[off as usize * lanes + l] & 1;
                         packed_buf[slot as usize + l / 64] |= bit << (l % 64);
                     }
                 }
@@ -2881,11 +2717,10 @@ impl<'c> EngineCore<'c> {
                     packed: packed_buf,
                     reg_cur,
                     arrays,
-                    aw,
                     rw,
                     arr_words,
                     lanes,
-                    scratch: if word_major {
+                    scratch: if lanes > 1 {
                         vec![0u64; aw]
                     } else {
                         Vec::new()
@@ -2997,7 +2832,6 @@ impl<'c> EngineCore<'c> {
             input_stride: input_words as usize,
             lanes,
             pw,
-            word_major,
             isa,
             active: RwLock::new((0..lanes as u32).collect()),
             retired: RwLock::new(vec![0u64; pw]),
@@ -3077,12 +2911,7 @@ impl<'c> EngineCore<'c> {
         self.shared.pw > 0
     }
 
-    /// Whether strided state is word-interleaved ([`WordMajor`]).
-    pub(crate) fn is_word_major(&self) -> bool {
-        self.shared.word_major
-    }
-
-    /// Name of the vector ISA the fused kernels dispatch to.
+    /// Name of the lane-kernel instantiation the fused opcodes use.
     pub(crate) fn isa_name(&self) -> &'static str {
         self.shared.isa.name()
     }
@@ -3189,15 +3018,15 @@ impl<'c> EngineCore<'c> {
     }
 
     /// The engine shape a [`Snapshot`] must match to be restorable
-    /// here: circuit name, lane shape, layout, and the exact word
-    /// counts of every buffer.
+    /// here: circuit name, lane shape, the layout word (every gang is
+    /// word-interleaved), and the exact word counts of every buffer.
     fn fingerprint(&self) -> Fingerprint {
         let sh = &self.shared;
         Fingerprint {
             circuit: self.circuit.name.clone(),
             lanes: sh.lanes as u32,
             pw: sh.pw as u32,
-            word_major: sh.word_major,
+            word_major: sh.lanes >= 2,
             input_words: sh.inputs.read().unwrap().len() as u64,
             onchip: sh.onchip as u32,
             channel_words: sh.channels.iter().map(|m| m.words() as u64).collect(),
@@ -3314,15 +3143,12 @@ impl<'c> EngineCore<'c> {
             self.lane_is_active(golden),
             "golden lane {golden} is retired"
         );
-        // Broadcast one strided buffer (per-lane stride `stride`) under
-        // the gang's layout, and one packed block (`pw` words per slot:
-        // whole words from the golden bit).
-        let bcast = |buf: &mut [u64], stride: usize| {
-            for off in 0..stride {
-                let v = buf[self.sat(off, golden, stride)];
-                for l in 0..lanes {
-                    buf[self.sat(off, l, stride)] = v;
-                }
+        // Broadcast one strided buffer (each word's lane row filled
+        // from the golden lane), and one packed block (`pw` words per
+        // slot: whole words from the golden bit).
+        let bcast = |buf: &mut [u64]| {
+            for row in buf.chunks_exact_mut(lanes) {
+                row.fill(row[golden]);
             }
         };
         let bcast_packed = |buf: &mut [u64]| {
@@ -3333,18 +3159,18 @@ impl<'c> EngineCore<'c> {
         };
         for tile in &sh.tiles {
             let mut t = tile.lock().unwrap();
-            let (aw, rw) = (t.aw, t.rw);
-            bcast(&mut t.arena, aw);
+            let rw = t.rw;
+            bcast(&mut t.arena);
             if pw > 0 {
                 bcast_packed(&mut t.packed);
             }
             // Register file: strided head, packed tail.
             let (head, tail) = t.reg_cur.split_at_mut(rw * lanes);
-            bcast(head, rw);
+            bcast(head);
             if pw > 0 {
                 bcast_packed(tail);
             }
-            // Arrays are lane-major in every layout: block copies.
+            // Arrays hold one contiguous block per lane: block copies.
             let strides = t.arr_words.clone();
             for (a, stride) in t.arrays.iter_mut().zip(strides) {
                 for l in 0..lanes {
@@ -3352,8 +3178,8 @@ impl<'c> EngineCore<'c> {
                 }
             }
         }
-        // Mailboxes: strided region (per-lane stride `mail_words[ch]`)
-        // then the packed region in `pw`-word slots — both parities, so
+        // Mailboxes: strided region (`mail_words[ch]` lane rows) then
+        // the packed region in `pw`-word slots — both parities, so
         // every epoch a resumed run can read carries golden's history.
         for (ch, m) in sh.channels.iter().enumerate() {
             let mw = sh.mail_words[ch] as usize;
@@ -3363,7 +3189,7 @@ impl<'c> EngineCore<'c> {
                 let buf =
                     unsafe { std::slice::from_raw_parts_mut(m.write_base(parity), m.words()) };
                 let (head, tail) = buf.split_at_mut(mw * lanes);
-                bcast(head, mw);
+                bcast(head);
                 if pw > 0 {
                     bcast_packed(tail);
                 }
@@ -3373,7 +3199,7 @@ impl<'c> EngineCore<'c> {
         {
             let mut inputs = sh.inputs.write().unwrap();
             let (head, tail) = inputs.split_at_mut(sh.input_stride * lanes);
-            bcast(head, sh.input_stride);
+            bcast(head);
             if pw > 0 {
                 bcast_packed(tail);
             }
@@ -3507,30 +3333,11 @@ impl<'c> EngineCore<'c> {
         self.shared.input_stride * self.shared.lanes + self.input_off[i] as usize * self.shared.pw
     }
 
-    /// Word `off` of `lane` in a strided buffer of per-lane stride
-    /// `stride`, under the gang's layout (the runtime twin of
-    /// [`Layout::at`]).
-    fn sat(&self, off: usize, lane: usize, stride: usize) -> usize {
-        if self.shared.word_major {
-            off * self.shared.lanes + lane
-        } else {
-            lane * stride + off
-        }
-    }
-
-    /// Reads `n` strided words at offset `off` of `lane` from `buf`
-    /// (per-lane stride `stride`), de-interleaving under `WordMajor`.
-    fn gather_lane(
-        &self,
-        buf: &[u64],
-        off: usize,
-        n: usize,
-        lane: usize,
-        stride: usize,
-    ) -> Vec<u64> {
-        (0..n)
-            .map(|k| buf[self.sat(off + k, lane, stride)])
-            .collect()
+    /// Reads `n` strided words at offset `off` of `lane` from `buf`,
+    /// de-interleaving them.
+    fn gather_lane(&self, buf: &[u64], off: usize, n: usize, lane: usize) -> Vec<u64> {
+        let lanes = self.shared.lanes;
+        (0..n).map(|k| buf[(off + k) * lanes + lane]).collect()
     }
 
     /// Drives input `id` in one lane (held until changed). Packed 1-bit
@@ -3547,9 +3354,8 @@ impl<'c> EngineCore<'c> {
             return;
         }
         let base = self.input_off[id.index()] as usize;
-        let stride = self.shared.input_stride;
         for (k, &w) in value.words().iter().enumerate() {
-            inputs[self.sat(base + k, lane, stride)] = w;
+            inputs[(base + k) * self.shared.lanes + lane] = w;
         }
     }
 
@@ -3569,12 +3375,9 @@ impl<'c> EngineCore<'c> {
             inputs[base..base + self.shared.pw].fill(word);
             return;
         }
-        let base = self.input_off[id.index()] as usize;
-        let stride = self.shared.input_stride;
-        for l in 0..self.shared.lanes {
-            for (k, &w) in value.words().iter().enumerate() {
-                inputs[self.sat(base + k, l, stride)] = w;
-            }
+        let (base, lanes) = (self.input_off[id.index()] as usize, self.shared.lanes);
+        for (k, &w) in value.words().iter().enumerate() {
+            inputs[(base + k) * lanes..][..lanes].fill(w);
         }
     }
 
@@ -3598,13 +3401,7 @@ impl<'c> EngineCore<'c> {
             let bit = (tile.reg_cur[base + lane / 64] >> (lane % 64)) & 1;
             return Bits::from_u64(1, bit);
         }
-        let words = self.gather_lane(
-            &tile.reg_cur,
-            home.off as usize,
-            home.words as usize,
-            lane,
-            tile.rw,
-        );
+        let words = self.gather_lane(&tile.reg_cur, home.off as usize, home.words as usize, lane);
         Bits::from_words(r.width, &words)
     }
 
@@ -3643,27 +3440,24 @@ impl<'c> EngineCore<'c> {
             if code.ops.is_empty() {
                 continue;
             }
-            if shared.word_major {
-                exec_code::<_, WordMajor>(
+            let parity = (cycle & 1) as usize;
+            if shared.lanes == 1 {
+                exec_code(
                     code,
                     tile,
                     inputs,
-                    shared.input_stride,
                     &shared.channels,
-                    &shared.mail_words,
-                    (cycle & 1) as usize,
-                    AllLanes(shared.lanes),
+                    parity,
+                    OneLane,
                     shared.isa,
                 );
             } else {
-                exec_code::<_, LaneMajor>(
+                exec_code(
                     code,
                     tile,
                     inputs,
-                    shared.input_stride,
                     &shared.channels,
-                    &shared.mail_words,
-                    (cycle & 1) as usize,
+                    parity,
                     AllLanes(shared.lanes),
                     shared.isa,
                 );
@@ -3687,13 +3481,7 @@ impl<'c> EngineCore<'c> {
             &mut tile,
             self.peek_cycle(lane),
         );
-        let words = self.gather_lane(
-            &tile.arena,
-            home.off as usize,
-            words_for(width),
-            lane,
-            tile.aw,
-        );
+        let words = self.gather_lane(&tile.arena, home.off as usize, words_for(width), lane);
         Some(Bits::from_words(width, &words))
     }
 
@@ -3711,13 +3499,8 @@ impl<'c> EngineCore<'c> {
             for &oi in ois {
                 let home = self.output_home[oi as usize];
                 let width = self.circuit.width(self.circuit.outputs[oi as usize].node);
-                let words = self.gather_lane(
-                    &tile.arena,
-                    home.off as usize,
-                    words_for(width),
-                    lane,
-                    tile.aw,
-                );
+                let words =
+                    self.gather_lane(&tile.arena, home.off as usize, words_for(width), lane);
                 results[oi as usize] = Some(Bits::from_words(width, &words));
             }
         }
@@ -3863,9 +3646,9 @@ impl<'c> EngineCore<'c> {
         let packed = sh.ops_per_cycle.1 * cycles + sh.ops_prelude.1;
         sh.ctrs.ops_strided.add(strided);
         sh.ctrs.ops_packed.add(packed);
-        if sh.word_major && sh.isa != VecIsa::Scalar {
-            // Fused strided opcodes dispatch one vector kernel each on
-            // the word-interleaved layout.
+        if sh.isa != VecIsa::Scalar {
+            // Each fused strided opcode calls one out-of-line vector
+            // kernel; the inlined loops make no such call.
             sh.ctrs.simd_dispatches.add(strided);
         }
         BspPhases {
@@ -3919,25 +3702,16 @@ fn merge_phases(agg: &mut Option<BspPhases>, ph: BspPhases) {
     }
 }
 
-/// Picks the cheapest [`LaneSet`] for the current active-lane list,
-/// pairs it with the gang's [`Layout`], and hands the monomorphized
-/// pair to `f` (single lane, dense gang, or early-exited gang — each in
-/// lane-major or word-interleaved form).
+/// Picks the cheapest [`LaneSet`] for the current active-lane list and
+/// hands the cycle loop monomorphized for it to `f`: a one-lane engine,
+/// a dense gang, or an early-exited gang.
 fn dispatch_lanes<R>(shared: &CoreShared, active: &[u32], f: impl FnOnce(&dyn DynLanes) -> R) -> R {
     if shared.lanes == 1 && active.len() == 1 {
-        // A single-lane gang is lane-major by construction (the two
-        // layouts coincide at stride 1).
-        f(&Run::<_, LaneMajor>(OneLane, PhantomData))
+        f(&OneLane)
     } else if active.len() == shared.lanes {
-        if shared.word_major {
-            f(&Run::<_, WordMajor>(AllLanes(shared.lanes), PhantomData))
-        } else {
-            f(&Run::<_, LaneMajor>(AllLanes(shared.lanes), PhantomData))
-        }
-    } else if shared.word_major {
-        f(&Run::<_, WordMajor>(LaneList(active), PhantomData))
+        f(&AllLanes(shared.lanes))
     } else {
-        f(&Run::<_, LaneMajor>(LaneList(active), PhantomData))
+        f(&LaneList(active))
     }
 }
 
@@ -3963,11 +3737,7 @@ trait DynLanes {
     );
 }
 
-/// A `(LaneSet, Layout)` pair: the unit the run dispatch monomorphizes
-/// the cycle loop over.
-struct Run<L, Y>(L, PhantomData<Y>);
-
-impl<L: LaneSet, Y: Layout> DynLanes for Run<L, Y> {
+impl<L: LaneSet> DynLanes for L {
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
@@ -3984,8 +3754,8 @@ impl<L: LaneSet, Y: Layout> DynLanes for Run<L, Y> {
         acc: &mut PhaseAcc,
         tracer: Option<&Tracer<'_>>,
     ) {
-        cycle_loop::<L, Y>(
-            shared, mine, guards, inputs, start, cycles, timed, spin, self.0, who, tile_ns, acc,
+        cycle_loop(
+            shared, mine, guards, inputs, start, cycles, timed, spin, *self, who, tile_ns, acc,
             tracer,
         );
     }
@@ -4019,7 +3789,7 @@ fn run_cycles(
 /// verbatim by pool workers and the inline (no-pool) path — barrier
 /// waits degenerate to no-ops when the pool is one wide.
 #[allow(clippy::too_many_arguments)]
-fn cycle_loop<L: LaneSet, Y: Layout>(
+fn cycle_loop<L: LaneSet>(
     shared: &CoreShared,
     mine: &[usize],
     guards: &mut [MutexGuard<'_, LaneTile>],
@@ -4073,13 +3843,11 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
     for (guard, &pi) in guards.iter_mut().zip(mine.iter()) {
         let prog = &shared.programs[pi];
         if !prog.prelude.ops.is_empty() {
-            exec_code::<L, Y>(
+            exec_code(
                 &prog.prelude,
                 guard,
                 inputs,
-                shared.input_stride,
                 &shared.channels,
-                &shared.mail_words,
                 (start & 1) as usize,
                 lanes,
                 shared.isa,
@@ -4094,13 +3862,11 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
         let mut link_total_ns = 0u64;
         for (k, (guard, &pi)) in guards.iter_mut().zip(mine).enumerate() {
             let prog = &shared.programs[pi];
-            compute_phase::<L, Y>(
+            compute_phase(
                 prog,
                 guard,
                 inputs,
-                shared.input_stride,
                 &shared.channels,
-                &shared.mail_words,
                 lanes,
                 c,
                 pw,
@@ -4129,16 +3895,7 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
                 // and lets the modeled transfer overlap the remaining
                 // tiles' compute. Staged transports redirect the flush
                 // into their producer-side staging fabric.
-                offchip_flush::<L, Y>(
-                    prog,
-                    guard,
-                    flush_boxes,
-                    &shared.mail_words,
-                    lanes,
-                    c,
-                    pw,
-                    mask,
-                );
+                offchip_flush(prog, guard, flush_boxes, lanes, c, pw, mask);
                 shared.transport.tile_flushed(pi, ((c & 1) ^ 1) as usize, c);
                 if spin_ns > 0.0 {
                     let words = prog.offchip_words as f64 * lanes.count() as f64
@@ -4221,14 +3978,7 @@ fn cycle_loop<L: LaneSet, Y: Layout>(
             tr.seg(SpanKind::BarrierWait, NO_TILE, c, s, e);
         }
         for (k, (guard, &pi)) in guards.iter_mut().zip(mine).enumerate() {
-            exchange_phase::<L, Y>(
-                &shared.programs[pi],
-                guard,
-                &shared.channels,
-                &shared.mail_words,
-                lanes,
-                c,
-            );
+            exchange_phase(&shared.programs[pi], guard, &shared.channels, lanes, c);
             if let Some(m) = emark {
                 let now = Instant::now();
                 if timed {
@@ -4333,6 +4083,7 @@ fn worker_body(shared: &CoreShared, t: usize, mine: &[usize]) {
 mod tests {
     use super::*;
     use crate::engine::PhaseBarrier;
+    use crate::simd::tests::test_isas;
     use parendi_core::{compile, PartitionConfig};
     use parendi_rtl::Builder;
     use std::sync::atomic::AtomicUsize;
@@ -4344,7 +4095,6 @@ mod tests {
             packed: Vec::new(),
             reg_cur: Vec::new(),
             arrays: Vec::new(),
-            aw: astride,
             rw: 0,
             arr_words: Vec::new(),
             lanes,
@@ -4352,94 +4102,51 @@ mod tests {
         }
     }
 
-    /// The ISA set a cross-check should sweep: the detected vector ISA
-    /// plus the forced scalar fallback (just the fallback when nothing
-    /// is detected).
-    fn test_isas() -> Vec<VecIsa> {
-        let d = VecIsa::detect();
-        if d == VecIsa::Scalar {
-            vec![VecIsa::Scalar]
-        } else {
-            vec![d, VecIsa::Scalar]
-        }
-    }
-
-    /// Executes `code` on a fresh scratch tile in the chosen layout and
-    /// ISA — seeding every lane through the *lane-contiguous* `setup`
-    /// view and transposing as needed — and returns each lane's arena
-    /// block de-transposed back to a contiguous slab so callers compare
-    /// layouts and ISAs against one oracle.
+    /// Executes `code` on a fresh scratch tile of `lanes` lanes — the
+    /// [`OneLane`] instantiation at one lane, the [`AllLanes`] gang
+    /// sweep on `isa` above — seeding every lane through the
+    /// *lane-contiguous* `setup` view, and returns each lane's arena
+    /// de-interleaved back to a contiguous slab so callers compare lane
+    /// counts and ISAs against one oracle.
     fn run_step_code(
         codes: &[&Code],
         lanes: usize,
         astride: usize,
         packed_words: usize,
         setup: &dyn Fn(usize, &mut [u64]),
-        word_major: bool,
         isa: VecIsa,
     ) -> Vec<Vec<u64>> {
         let mut tile = scratch_tile(lanes, astride);
         tile.packed = vec![0u64; packed_words];
-        if word_major {
-            tile.scratch = vec![0u64; astride];
-            let mut tmp = vec![0u64; astride];
-            for l in 0..lanes {
-                setup(l, &mut tmp);
-                for (off, &w) in tmp.iter().enumerate() {
-                    tile.arena[off * lanes + l] = w;
-                }
+        tile.scratch = vec![0u64; astride];
+        let mut tmp = vec![0u64; astride];
+        for l in 0..lanes {
+            setup(l, &mut tmp);
+            for (off, &w) in tmp.iter().enumerate() {
+                tile.arena[off * lanes + l] = w;
             }
-            for code in codes {
-                exec_code::<_, WordMajor>(
-                    code,
-                    &mut tile,
-                    &[],
-                    0,
-                    &[],
-                    &[],
-                    0,
-                    AllLanes(lanes),
-                    isa,
-                );
-            }
-        } else {
-            for l in 0..lanes {
-                setup(l, &mut tile.arena[l * astride..(l + 1) * astride]);
-            }
-            for code in codes {
-                exec_code::<_, LaneMajor>(
-                    code,
-                    &mut tile,
-                    &[],
-                    0,
-                    &[],
-                    &[],
-                    0,
-                    AllLanes(lanes),
-                    isa,
-                );
+        }
+        for code in codes {
+            if lanes == 1 {
+                exec_code(code, &mut tile, &[], &[], 0, OneLane, isa);
+            } else {
+                exec_code(code, &mut tile, &[], &[], 0, AllLanes(lanes), isa);
             }
         }
         (0..lanes)
             .map(|l| {
                 (0..astride)
-                    .map(|off| {
-                        tile.arena[if word_major {
-                            off * lanes + l
-                        } else {
-                            l * astride + off
-                        }]
-                    })
+                    .map(|off| tile.arena[off * lanes + l])
                     .collect()
             })
             .collect()
     }
 
     /// Runs `step` through the full lower→exec pipeline on `lanes`
-    /// strided copies — in both arena layouts and on every available
-    /// ISA — and cross-checks every lane against the slice-kernel
-    /// evaluator [`eval_op`] on that lane's block. Asserts the lowering
-    /// actually produced a fused opcode (not a `WIDE` fallback).
+    /// strided copies — on every available ISA — and cross-checks every
+    /// lane against the slice-kernel evaluator [`eval_op`] on that
+    /// lane's block. Asserts the lowering actually produced a fused
+    /// opcode (not a `WIDE` fallback).
     fn check_step_lanes(
         step: &Step,
         setup: &dyn Fn(usize, &mut [u64]),
@@ -4456,26 +4163,26 @@ mod tests {
         );
         let astride = 16usize;
         let mut expect = vec![0u64; astride];
-        for wm in [false, true] {
-            for isa in test_isas() {
-                let got = run_step_code(&[&code], lanes, astride, 0, setup, wm, isa);
-                for (l, lane) in got.iter().enumerate() {
-                    setup(l, &mut expect);
-                    eval_op(&mut expect, step);
-                    assert_eq!(
-                        &lane[dst..dst + nw],
-                        &expect[dst..dst + nw],
-                        "lane {l}/{lanes} diverged from eval_op on {step:?} \
-                         (word_major={wm}, isa={})",
-                        isa.name()
-                    );
-                }
+        for isa in test_isas() {
+            let got = run_step_code(&[&code], lanes, astride, 0, setup, isa);
+            for (l, lane) in got.iter().enumerate() {
+                setup(l, &mut expect);
+                eval_op(&mut expect, step);
+                assert_eq!(
+                    &lane[dst..dst + nw],
+                    &expect[dst..dst + nw],
+                    "lane {l}/{lanes} diverged from eval_op on {step:?} (isa={})",
+                    isa.name()
+                );
             }
         }
     }
 
+    /// One lane (the scalar [`OneLane`] arms) and a small gang.
     fn check_step(step: &Step, setup: &dyn Fn(usize, &mut [u64]), dst: usize, nw: usize) {
-        check_step_lanes(step, setup, dst, nw, 3);
+        for lanes in [1, 3] {
+            check_step_lanes(step, setup, dst, nw, lanes);
+        }
     }
 
     /// Every fused single-word opcode — all 15 binary kernels, all 5
@@ -4664,7 +4371,6 @@ mod tests {
         let code = Code::lower(std::slice::from_ref(&step));
         assert_eq!((code.ops[0] & 0xff) as u8, op::WIDE);
         assert_eq!(code.wide.len(), 1);
-        let lanes = 2usize;
         let astride = 16usize;
         let setup = |l: usize, arena: &mut [u64]| {
             arena.fill(0);
@@ -4674,16 +4380,13 @@ mod tests {
             arena[3] = 1;
         };
         let mut expect = vec![0u64; astride];
-        for wm in [false, true] {
-            let got = run_step_code(&[&code], lanes, astride, 0, &setup, wm, VecIsa::Scalar);
+        // In place at one lane, through the scratch gather for a gang.
+        for lanes in [1usize, 2] {
+            let got = run_step_code(&[&code], lanes, astride, 0, &setup, VecIsa::Scalar);
             for (l, lane) in got.iter().enumerate() {
                 setup(l, &mut expect);
                 eval_op(&mut expect, &step);
-                assert_eq!(
-                    &lane[4..6],
-                    &expect[4..6],
-                    "wide lane {l} (word_major={wm})"
-                );
+                assert_eq!(&lane[4..6], &expect[4..6], "wide lane {l}/{lanes}");
             }
         }
     }
@@ -4749,7 +4452,7 @@ mod tests {
         b.connect(r, m);
         let c = b.finish().unwrap();
         let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
-        let compiled = Compiled::new(&c, &comp.partition, 1, false, LayoutChoice::LaneMajor);
+        let compiled = Compiled::new(&c, &comp.partition, 1, false);
         assert_eq!(compiled.programs.len(), 1);
         let got = compiled.programs[0].code.disasm();
         let want: Vec<String> = GOLDEN.iter().map(|s| s.to_string()).collect();
@@ -4801,24 +4504,21 @@ mod tests {
         }
         let astride = 16usize;
         let mut expect = vec![0u64; astride];
-        for wm in [false, true] {
-            let got = run_step_code(
-                &[&lowered.prelude, &lowered.code],
-                lanes,
-                astride,
-                lowered.packed_words,
-                setup,
-                wm,
-                VecIsa::Scalar,
+        let got = run_step_code(
+            &[&lowered.prelude, &lowered.code],
+            lanes,
+            astride,
+            lowered.packed_words,
+            setup,
+            VecIsa::Scalar,
+        );
+        for (l, lane) in got.iter().enumerate() {
+            setup(l, &mut expect);
+            eval_op(&mut expect, step);
+            assert_eq!(
+                lane[dst], expect[dst],
+                "lane {l}/{lanes} diverged from eval_op on {step:?}"
             );
-            for (l, lane) in got.iter().enumerate() {
-                setup(l, &mut expect);
-                eval_op(&mut expect, step);
-                assert_eq!(
-                    lane[dst], expect[dst],
-                    "lane {l}/{lanes} diverged from eval_op on {step:?} (word_major={wm})"
-                );
-            }
         }
     }
 
@@ -4966,7 +4666,7 @@ mod tests {
         b.connect(r, m); // packed commit
         let c = b.finish().unwrap();
         let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
-        let compiled = Compiled::new(&c, &comp.partition, 96, true, LayoutChoice::LaneMajor);
+        let compiled = Compiled::new(&c, &comp.partition, 96, true);
         assert_eq!(compiled.programs.len(), 1);
         let prog = &compiled.programs[0];
         let got = prog.prelude.disasm();
@@ -5006,12 +4706,12 @@ mod tests {
         "mux1 dst=6 sel=5 t=1 f=1",
     ];
 
-    /// The vector kernels must be bit-exact with the scalar slice
-    /// kernels at lane counts straddling every chunking boundary: below
-    /// a vector (1, 3), exactly one vector (4), just past (5, 7), two
-    /// vectors (8), and around the 64-lane packing threshold
-    /// (63/64/65) — in both layouts, on the detected ISA *and* the
-    /// forced scalar fallback.
+    /// The lane kernels must be bit-exact with the scalar slice
+    /// kernels at lane counts straddling every chunking boundary: one
+    /// lane, below a vector (3), exactly one vector (4), just past
+    /// (5, 7), two vectors (8), around the instantiation threshold
+    /// (15/16/17), and around the 64-lane packing threshold (63/64/65)
+    /// — on every ISA this host can run.
     #[test]
     fn vector_kernels_match_scalar_at_all_lane_counts() {
         let bins = [
@@ -5027,7 +4727,7 @@ mod tests {
             BinOp::Lshr,
             BinOp::Ashr,
         ];
-        for &lanes in &[1usize, 3, 4, 5, 7, 8, 63, 64, 65] {
+        for &lanes in &[1usize, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65] {
             for &w in &[1u32, 17, 32, 33, 64] {
                 let m = top_word_mask(w);
                 let ra = 0x5a5a_1234_9bcd_u64 | 1 << 63;
@@ -5133,7 +4833,7 @@ mod tests {
     /// Lowers a step pair, pins the fused disassembly, and cross-checks
     /// the fused opcode's execution — both destinations, since the
     /// fused forms still write the intermediate — against [`eval_op`]
-    /// applied step by step, on both layouts and every ISA.
+    /// applied step by step, at one lane and on a gang, on every ISA.
     fn check_fused_pair(
         steps: &[Step],
         want: &[&str],
@@ -5144,12 +4844,11 @@ mod tests {
         let code = Code::lower(steps);
         let wantv: Vec<String> = want.iter().map(|s| s.to_string()).collect();
         assert_eq!(code.disasm(), wantv, "fused lowering changed for {steps:?}");
-        let lanes = 5usize;
         let astride = 16usize;
         let mut expect = vec![0u64; astride];
-        for wm in [false, true] {
+        for lanes in [1usize, 5] {
             for isa in test_isas() {
-                let got = run_step_code(&[&code], lanes, astride, 0, setup, wm, isa);
+                let got = run_step_code(&[&code], lanes, astride, 0, setup, isa);
                 for (l, lane) in got.iter().enumerate() {
                     setup(l, &mut expect);
                     for s in steps {
@@ -5158,7 +4857,7 @@ mod tests {
                     assert_eq!(
                         &lane[dst..dst + nw],
                         &expect[dst..dst + nw],
-                        "lane {l} diverged on fused {steps:?} (word_major={wm}, isa={})",
+                        "lane {l}/{lanes} diverged on fused {steps:?} (isa={})",
                         isa.name()
                     );
                 }
@@ -5260,7 +4959,7 @@ mod tests {
         // Lanes 0..4 cover all four (sel1, sel2) truth-table rows. The
         // chain's other input sits at slot 5, *below* the fused dst 6 —
         // the bump-allocator invariant (operands precede destinations)
-        // the word-interleaved split relies on.
+        // the gang sweep's arena split relies on.
         let setup = |l: usize, arena: &mut [u64]| {
             arena.fill(0);
             arena[0] = 0x111 + l as u64;
@@ -5333,7 +5032,7 @@ mod tests {
         b.connect(r, m);
         let c = b.finish().unwrap();
         let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
-        let compiled = Compiled::new(&c, &comp.partition, 1, false, LayoutChoice::LaneMajor);
+        let compiled = Compiled::new(&c, &comp.partition, 1, false);
         let mut h = std::collections::BTreeMap::new();
         compiled.programs[0].code.histogram(&mut h);
         let want: Vec<((&str, u32), u64)> = vec![

@@ -14,14 +14,14 @@
 //! facades over the unified lane-strided core in [`crate::exec`]: every
 //! buffer a tile's fused bytecode touches — value arenas, register
 //! files, array copies, mailbox buffers, the input buffer — is
-//! *lane-strided* (`lanes` copies of the single-lane layout, either
-//! lane-major or word-interleaved — see the layout discussion in the
-//! core's module docs), and one dispatched bytecode instruction
-//! executes a tight inner loop over all lanes; for the dominant
-//! single-word case that loop is pure `u64` arithmetic through the same
-//! scalar kernels the single-scenario instantiation runs — or, on
-//! word-interleaved gangs, the runtime-dispatched SIMD kernels sweeping
-//! several lanes per step — so the engines cannot diverge semantically.
+//! *lane-strided* (`lanes` copies of the single-lane layout,
+//! word-interleaved: word `w` of lane `l` at `w * lanes + l` — see the
+//! layout section of the core's module docs), and one dispatched
+//! bytecode instruction executes a tight inner loop over each word's
+//! dense lane row; for the dominant single-word case that loop is pure
+//! `u64` arithmetic through the same scalar kernels the
+//! single-scenario instantiation runs, which the compiler vectorizes
+//! across lanes — so the engines cannot diverge semantically.
 //! The exchange structure is identical across lanes: mailbox epochs,
 //! the off-chip flush (with the modeled link charged `L×` the words),
 //! worker groups, and the two-barrier cycle all carry over verbatim.
@@ -62,7 +62,6 @@
 //! [`Partition`]: parendi_core::Partition
 
 use crate::bsp::BspPhases;
-use crate::engine::LayoutChoice;
 use crate::exec::EngineCore;
 use crate::interp::Simulator;
 use parendi_core::Partition;
@@ -88,14 +87,7 @@ impl<'c> GangSimulator<'c> {
     /// Panics if `threads` or `lanes` is zero.
     pub fn new(circuit: &'c Circuit, partition: &Partition, threads: usize, lanes: usize) -> Self {
         GangSimulator {
-            core: EngineCore::new(
-                circuit,
-                partition,
-                threads,
-                lanes,
-                false,
-                LayoutChoice::Auto,
-            ),
+            core: EngineCore::new(circuit, partition, threads, lanes, false),
         }
     }
 
@@ -116,15 +108,7 @@ impl<'c> GangSimulator<'c> {
         transport: crate::transport::TransportChoice,
     ) -> Self {
         GangSimulator {
-            core: EngineCore::with_transport(
-                circuit,
-                partition,
-                threads,
-                lanes,
-                packed,
-                LayoutChoice::Auto,
-                transport,
-            ),
+            core: EngineCore::with_transport(circuit, partition, threads, lanes, packed, transport),
         }
     }
 
@@ -148,14 +132,7 @@ impl<'c> GangSimulator<'c> {
     ) -> Self {
         GangSimulator {
             core: EngineCore::with_trace(
-                circuit,
-                partition,
-                threads,
-                lanes,
-                packed,
-                LayoutChoice::Auto,
-                transport,
-                trace,
+                circuit, partition, threads, lanes, packed, transport, trace,
             ),
         }
     }
@@ -245,36 +222,6 @@ impl<'c> GangSimulator<'c> {
         self.core.code_stats()
     }
 
-    /// Like [`new`](Self::new)/[`new_packed`](Self::new_packed), but
-    /// with an **explicit strided memory layout**: `word_major = true`
-    /// interleaves strided state `[word × lanes]` so the SIMD kernels
-    /// sweep dense lane rows; `false` keeps the `[lane × words]` layout.
-    /// The default constructors resolve the layout automatically
-    /// (`PARENDI_LANE_LAYOUT` env override, then a lane-count
-    /// heuristic); this entry point exists so benchmarks can measure
-    /// both sides. Functionally bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` or `lanes` is zero.
-    pub fn with_layout(
-        circuit: &'c Circuit,
-        partition: &Partition,
-        threads: usize,
-        lanes: usize,
-        packed: bool,
-        word_major: bool,
-    ) -> Self {
-        let layout = if word_major {
-            LayoutChoice::WordMajor
-        } else {
-            LayoutChoice::LaneMajor
-        };
-        GangSimulator {
-            core: EngineCore::new(circuit, partition, threads, lanes, packed, layout),
-        }
-    }
-
     /// Like [`new`](Self::new), but with **bit-packed 1-bit lanes**: at
     /// compile time every net, register, and input is classified by
     /// width, and 1-bit values are laid out bit-packed across lanes —
@@ -296,7 +243,7 @@ impl<'c> GangSimulator<'c> {
         lanes: usize,
     ) -> Self {
         GangSimulator {
-            core: EngineCore::new(circuit, partition, threads, lanes, true, LayoutChoice::Auto),
+            core: EngineCore::new(circuit, partition, threads, lanes, true),
         }
     }
 
@@ -305,15 +252,9 @@ impl<'c> GangSimulator<'c> {
         self.core.is_packed()
     }
 
-    /// Whether strided multi-bit state is word-interleaved
-    /// (`[word × lanes]`) rather than lane-major.
-    pub fn is_word_major(&self) -> bool {
-        self.core.is_word_major()
-    }
-
-    /// The vector ISA the fused single-word kernels dispatch to:
-    /// `"avx2"`, `"neon"`, or `"scalar"` (the portable fallback, also
-    /// forced by `PARENDI_SIMD=0`).
+    /// The lane-kernel instantiation the fused single-word opcodes
+    /// dispatch to: `"avx2"` (x86-64 CPUs that report it, gangs of 16
+    /// lanes and up) or `"scalar"` (the same loops, inlined).
     pub fn simd(&self) -> &'static str {
         self.core.isa_name()
     }

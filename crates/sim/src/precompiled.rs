@@ -13,12 +13,12 @@
 //! [`GangSimulator::from_precompiled`](crate::GangSimulator::from_precompiled)
 //! deep-copies the artifact per engine (the clone is cheap relative to
 //! the compile), so one `Precompiled` can back any number of
-//! simultaneous engines. Construction resolves layout exactly like
-//! [`GangSimulator::new`](crate::GangSimulator::new) (`Auto`: env
-//! override, then the lane-count crossover), so results are
-//! bit-identical to a direct construction at the same lane shape.
+//! simultaneous engines. The artifact depends only on the circuit, the
+//! partition, and the lane shape (there is one strided layout), so
+//! results are bit-identical to a direct
+//! [`GangSimulator::new`](crate::GangSimulator::new) at the same shape.
 
-use crate::engine::{Compiled, LayoutChoice};
+use crate::engine::Compiled;
 use parendi_core::Partition;
 use parendi_rtl::Circuit;
 
@@ -33,11 +33,9 @@ pub struct Precompiled {
 
 impl Precompiled {
     /// Runs the full compile front-end for `lanes` side-by-side
-    /// scenarios (`packed` bit-packs 1-bit state across lanes). Layout
-    /// resolves like the plain constructors (`PARENDI_LANE_LAYOUT`,
-    /// then the crossover heuristic), so an engine built from this
-    /// artifact is bit-identical to `GangSimulator::new` /
-    /// `new_packed` at the same shape.
+    /// scenarios (`packed` bit-packs 1-bit state across lanes). An
+    /// engine built from this artifact is bit-identical to
+    /// `GangSimulator::new` / `new_packed` at the same shape.
     ///
     /// # Panics
     ///
@@ -45,7 +43,7 @@ impl Precompiled {
     pub fn build(circuit: &Circuit, partition: &Partition, lanes: usize, packed: bool) -> Self {
         assert!(lanes >= 1, "need at least one lane");
         Precompiled {
-            compiled: Compiled::new(circuit, partition, lanes, packed, LayoutChoice::Auto),
+            compiled: Compiled::new(circuit, partition, lanes, packed),
         }
     }
 

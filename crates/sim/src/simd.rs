@@ -1,68 +1,74 @@
-//! Vector kernels for the strided lane sweeps.
+//! Lane kernels for the gang engine's strided sweeps, written once.
 //!
-//! The gang engine executes each fused single-word opcode across `L`
-//! scenario lanes. In the word-interleaved arena layout the `L` copies
-//! of one arena word are contiguous (`off * lanes + lane`), so a lane
-//! sweep is a dense map over `&[u64]` slices — exactly the shape SIMD
-//! wants. This module provides those kernels three ways:
+//! A gang keeps the `L` copies of one arena word contiguous
+//! (`off * lanes + lane`), so a fused single-word opcode over a run of
+//! lanes is a dense map over `&[u64]` slices. Each kernel here is one
+//! portable loop over the scalar helpers the single-scenario engine
+//! runs ([`bin1`]/[`un1`]/[`sext1`]) — bit-exact on every target by
+//! construction, and a shape the compiler vectorizes on its own.
 //!
-//! * **AVX2** (x86_64): 4 lanes per 256-bit vector, used when the CPU
-//!   reports `avx2` at runtime;
-//! * **NEON** (aarch64): 2 lanes per 128-bit vector;
-//! * **scalar fallback**: plain chunk loops over the same [`bin1`]/
-//!   [`un1`] helpers the lane-major path uses — autovectorizable and
-//!   bit-exact by construction on any target.
-//!
-//! The ISA is detected **once** per engine build ([`VecIsa::detect`],
-//! stored in the core's shared state) so the hot loop never re-probes
-//! CPUID. `PARENDI_SIMD=0|off|scalar` forces the portable fallback —
-//! CI runs the whole sim test suite under that flag.
+//! On x86-64 that same loop is additionally instantiated inside a
+//! `#[target_feature(enable = "avx2")]` wrapper, so the compiler may
+//! use 256-bit vectors there; on aarch64 NEON is baseline and the plain
+//! loop already is the vector code. Which instantiation a gang runs is
+//! decided **once** per engine build ([`VecIsa::for_lanes`]) from the
+//! CPU and the lane count and stored in the core's shared state, so the
+//! hot loop never re-probes CPUID.
 //!
 //! Every kernel takes normalized operands (high bits above the operand
 //! width already zero — the engine invariant) and produces normalized
-//! results; each has a subtle-case story documented at its `match` arm.
-//! Ops a vector ISA cannot express faithfully (e.g. `Ashr`, or any
-//! shift where the count width differs from the value width, or NEON
-//! shifts at all — `USHL` only honours the low byte of the count, which
-//! breaks the ≥ 2^32 saturation rule) fall through to the scalar loop.
-
-#![allow(unsafe_op_in_unsafe_fn)]
+//! results.
 
 use crate::engine::{bin1, sext1, un1};
 use parendi_rtl::bits::top_word_mask;
 use parendi_rtl::{BinOp, UnOp};
 
-/// Which vector ISA the lane sweeps use, decided once at engine build.
+/// Narrowest gang that runs the AVX2 instantiation. A
+/// `#[target_feature]` function cannot inline into the opcode dispatch
+/// arm, so every sweep through it pays a call; the inlined loop wins
+/// until a sweep is long enough for the wider vectors to amortize it.
+///
+/// `gang_lanes --quick`, 1 thread, aggregate lane-kcycles/s on
+/// sprng32 / sr3 / ca256 (2-core AVX2 host, ranges over 2–3 runs).
+/// *inline* is the portable loop, *avx2* the same loop behind the
+/// wrapper; *intrinsics* and *lane-major* are the hand-written
+/// `std::arch` kernels and the `[lane × words]` gang layout this module
+/// and its callers used to carry.
+///
+/// | lanes | inline | avx2 | intrinsics | lane-major |
+/// | --- | --- | --- | --- | --- |
+/// | 2 | 822–865 / 53–54 / 269–282 | — | 579 / 30 / 181 | 850–883 / 55–57 / 260–272 |
+/// | 3 | 1148–1204 / 73–74 / 389–408 | — | 821 / 42 / 260 | 983–1012 / 65–67 / 281–296 |
+/// | 4 | 1445–1527 / 90–92 / 502–531 | 1306–1311 / 73 / 432–440 | 1247–1258 / 70 / 388–399 | 1058–1088 / 69–73 / 297–305 |
+/// | 8 | 2454–2591 / 142–149 / 810–866 | 2411–2428 / 131–132 / 798–799 | 2325–2348 / 126–128 / 702–717 | 1252–1285 / 84–88 / 338–353 |
+/// | 16 | 3915–4130 / 217–220 / 1280–1304 | 4184–4316 / 219–225 / 1222–1284 | — | 1421–1435 / 94–100 / 374–377 |
+/// | 32 | 5400–5489 / 261–267 / 1603–1624 | 6523–6598 / 282–298 / 1725–1746 | — | — |
+/// | 64 | 6815–7039 / 302–316 / 1828–1920 | 8027–8369 / 313–341 / 1928–2011 | 8457–8596 / 332–358 / 1882–2049 | 1430–1493 / 101–105 / 350–374 |
+///
+/// The inlined loop beats the wrapper up to 12 lanes (sr3 189–192 vs
+/// 171–172 there), ties at 16, and loses 5–20 % at 32–64.
+pub(crate) const AVX2_MIN_LANES: usize = 16;
+
+/// Which instantiation of the lane kernels a gang runs, decided once at
+/// engine build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum VecIsa {
-    /// Portable chunked scalar loops (also the forced-fallback mode).
+    /// The portable loops, inlined into the opcode dispatch.
     Scalar,
-    /// 4×u64 per 256-bit vector via `std::arch` x86_64 intrinsics.
+    /// The same loops compiled with AVX2 enabled.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 2×u64 per 128-bit vector via `std::arch` aarch64 intrinsics.
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 impl VecIsa {
-    /// Runtime detection with a `PARENDI_SIMD` env override
-    /// (`0`/`off`/`scalar` force the portable path).
-    pub(crate) fn detect() -> Self {
-        if let Ok(v) = std::env::var("PARENDI_SIMD") {
-            let v = v.to_ascii_lowercase();
-            if v == "0" || v == "off" || v == "scalar" {
-                return VecIsa::Scalar;
-            }
-        }
+    /// The instantiation for a `lanes`-wide gang: [`VecIsa::Avx2`] when
+    /// the CPU reports it and the gang reaches [`AVX2_MIN_LANES`].
+    pub(crate) fn for_lanes(lanes: usize) -> Self {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if lanes >= AVX2_MIN_LANES && std::arch::is_x86_feature_detected!("avx2") {
             return VecIsa::Avx2;
         }
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return VecIsa::Neon;
-        }
+        let _ = lanes;
         VecIsa::Scalar
     }
 
@@ -72,78 +78,97 @@ impl VecIsa {
             VecIsa::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
             VecIsa::Avx2 => "avx2",
-            #[cfg(target_arch = "aarch64")]
-            VecIsa::Neon => "neon",
         }
     }
 }
 
-/// `d[i] = bin1(op, a[i], b[i], w, aw)` across one dense lane block.
-#[inline(always)]
-pub(crate) fn vbin(isa: VecIsa, op: BinOp, d: &mut [u64], a: &[u64], b: &[u64], w: u32, aw: u32) {
-    debug_assert!(d.len() == a.len() && d.len() == b.len());
-    match isa {
-        VecIsa::Scalar => {
-            for ((d, &a), &b) in d.iter_mut().zip(a).zip(b) {
-                *d = bin1(op, a, b, w, aw);
+/// Defines one lane kernel: `$body` is its only implementation, run
+/// inline for [`VecIsa::Scalar`] and through an AVX2-enabled wrapper
+/// for [`VecIsa::Avx2`].
+macro_rules! lane_kernel {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        $(#[$doc])*
+        #[inline(always)]
+        pub(crate) fn $name(isa: VecIsa, $($arg: $ty),*) {
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+            match isa {
+                VecIsa::Scalar => body($($arg),*),
+                #[cfg(target_arch = "x86_64")]
+                VecIsa::Avx2 => {
+                    #[target_feature(enable = "avx2")]
+                    fn avx2($($arg: $ty),*) {
+                        body($($arg),*)
+                    }
+                    // SAFETY: `VecIsa::Avx2` is only ever produced by
+                    // `VecIsa::for_lanes` after
+                    // `is_x86_feature_detected!("avx2")` returned true
+                    // on this CPU.
+                    unsafe { avx2($($arg),*) }
+                }
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        VecIsa::Avx2 => unsafe { avx2::bin(op, d, a, b, w, aw) },
-        #[cfg(target_arch = "aarch64")]
-        VecIsa::Neon => unsafe { neon::bin(op, d, a, b, w, aw) },
+    };
+}
+
+lane_kernel! {
+    /// `d[i] = bin1(op, a[i], b[i], w, aw)` across one dense lane block.
+    fn vbin(op: BinOp, d: &mut [u64], a: &[u64], b: &[u64], w: u32, aw: u32) {
+        debug_assert!(d.len() == a.len() && d.len() == b.len());
+        // Branch on the operator outside the sweep: each arm is then a
+        // loop over one fixed scalar kernel.
+        macro_rules! sweep {
+            ($($v:ident)*) => {
+                match op {
+                    $(BinOp::$v => {
+                        for ((d, &a), &b) in d.iter_mut().zip(a).zip(b) {
+                            *d = bin1(BinOp::$v, a, b, w, aw);
+                        }
+                    })*
+                }
+            };
+        }
+        sweep!(And Or Xor Add Sub Mul Eq Ne LtU LtS LeU LeS Shl Lshr Ashr);
     }
 }
 
-/// `d[i] = un1(op, a[i], w, aw)` across one dense lane block.
-#[inline(always)]
-pub(crate) fn vun(isa: VecIsa, op: UnOp, d: &mut [u64], a: &[u64], w: u32, aw: u32) {
-    debug_assert_eq!(d.len(), a.len());
-    match isa {
-        VecIsa::Scalar => {
-            for (d, &a) in d.iter_mut().zip(a) {
-                *d = un1(op, a, w, aw);
-            }
+lane_kernel! {
+    /// `d[i] = un1(op, a[i], w, aw)` across one dense lane block.
+    fn vun(op: UnOp, d: &mut [u64], a: &[u64], w: u32, aw: u32) {
+        debug_assert_eq!(d.len(), a.len());
+        macro_rules! sweep {
+            ($($v:ident)*) => {
+                match op {
+                    $(UnOp::$v => {
+                        for (d, &a) in d.iter_mut().zip(a) {
+                            *d = un1(UnOp::$v, a, w, aw);
+                        }
+                    })*
+                }
+            };
         }
-        #[cfg(target_arch = "x86_64")]
-        VecIsa::Avx2 => unsafe { avx2::un(op, d, a, w, aw) },
-        #[cfg(target_arch = "aarch64")]
-        VecIsa::Neon => unsafe { neon::un(op, d, a, w, aw) },
+        sweep!(Not Neg RedAnd RedOr RedXor);
     }
 }
 
-/// `d[i] = if sel[i] & 1 == 1 { t[i] } else { f[i] }`.
-#[inline(always)]
-pub(crate) fn vmux(isa: VecIsa, d: &mut [u64], sel: &[u64], t: &[u64], f: &[u64]) {
-    debug_assert!(d.len() == sel.len() && d.len() == t.len() && d.len() == f.len());
-    match isa {
-        VecIsa::Scalar => {
-            for (i, dv) in d.iter_mut().enumerate() {
-                *dv = if sel[i] & 1 == 1 { t[i] } else { f[i] };
-            }
+lane_kernel! {
+    /// `d[i] = if sel[i] & 1 == 1 { t[i] } else { f[i] }`.
+    fn vmux(d: &mut [u64], sel: &[u64], t: &[u64], f: &[u64]) {
+        debug_assert!(d.len() == sel.len() && d.len() == t.len() && d.len() == f.len());
+        for (((d, &s), &t), &f) in d.iter_mut().zip(sel).zip(t).zip(f) {
+            *d = if s & 1 == 1 { t } else { f };
         }
-        #[cfg(target_arch = "x86_64")]
-        VecIsa::Avx2 => unsafe { avx2::mux(d, sel, t, f) },
-        #[cfg(target_arch = "aarch64")]
-        VecIsa::Neon => unsafe { neon::mux(d, sel, t, f) },
     }
 }
 
-/// `d[i] = (a[i] >> lo) & top_word_mask(w)`.
-#[inline(always)]
-pub(crate) fn vslice(isa: VecIsa, d: &mut [u64], a: &[u64], lo: u32, w: u32) {
-    debug_assert_eq!(d.len(), a.len());
-    match isa {
-        VecIsa::Scalar => {
-            let m = top_word_mask(w);
-            for (d, &a) in d.iter_mut().zip(a) {
-                *d = (a >> lo) & m;
-            }
+lane_kernel! {
+    /// `d[i] = (a[i] >> lo) & top_word_mask(w)`.
+    fn vslice(d: &mut [u64], a: &[u64], lo: u32, w: u32) {
+        debug_assert_eq!(d.len(), a.len());
+        let m = top_word_mask(w);
+        for (d, &a) in d.iter_mut().zip(a) {
+            *d = (a >> lo) & m;
         }
-        #[cfg(target_arch = "x86_64")]
-        VecIsa::Avx2 => unsafe { avx2::slice(d, a, lo, w) },
-        #[cfg(target_arch = "aarch64")]
-        VecIsa::Neon => unsafe { neon::slice(d, a, lo, w) },
     }
 }
 
@@ -154,634 +179,64 @@ pub(crate) fn vzext(isa: VecIsa, d: &mut [u64], a: &[u64], w: u32) {
     vslice(isa, d, a, 0, w);
 }
 
-/// `d[i] = sext1(a[i], aw, w)`.
-#[inline(always)]
-pub(crate) fn vsext(isa: VecIsa, d: &mut [u64], a: &[u64], aw: u32, w: u32) {
-    debug_assert_eq!(d.len(), a.len());
-    if w <= aw {
-        // Narrowing "sext" is a plain truncation of a normalized word.
-        vslice(isa, d, a, 0, w);
-        return;
-    }
-    match isa {
-        VecIsa::Scalar => {
-            for (d, &a) in d.iter_mut().zip(a) {
-                *d = sext1(a, aw, w);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        VecIsa::Avx2 => unsafe { avx2::sext(d, a, aw, w) },
-        #[cfg(target_arch = "aarch64")]
-        VecIsa::Neon => {
-            for (d, &a) in d.iter_mut().zip(a) {
-                *d = sext1(a, aw, w);
-            }
+lane_kernel! {
+    /// `d[i] = sext1(a[i], aw, w)`.
+    fn vsext(d: &mut [u64], a: &[u64], aw: u32, w: u32) {
+        debug_assert_eq!(d.len(), a.len());
+        for (d, &a) in d.iter_mut().zip(a) {
+            *d = sext1(a, aw, w);
         }
     }
 }
 
-/// `d[i] = (lo_[i] | hi[i] << low_w) & top_word_mask(w)`.
-#[inline(always)]
-pub(crate) fn vconcat(isa: VecIsa, d: &mut [u64], hi: &[u64], lo_: &[u64], low_w: u32, w: u32) {
-    debug_assert!(d.len() == hi.len() && d.len() == lo_.len());
-    match isa {
-        VecIsa::Scalar => {
-            let m = top_word_mask(w);
-            for ((d, &h), &l) in d.iter_mut().zip(hi).zip(lo_) {
-                *d = (l | (h << low_w)) & m;
-            }
+lane_kernel! {
+    /// `d[i] = (lo_[i] | hi[i] << low_w) & top_word_mask(w)`.
+    fn vconcat(d: &mut [u64], hi: &[u64], lo_: &[u64], low_w: u32, w: u32) {
+        debug_assert!(d.len() == hi.len() && d.len() == lo_.len());
+        let m = top_word_mask(w);
+        for ((d, &h), &l) in d.iter_mut().zip(hi).zip(lo_) {
+            *d = (l | (h << low_w)) & m;
         }
-        #[cfg(target_arch = "x86_64")]
-        VecIsa::Avx2 => unsafe { avx2::concat(d, hi, lo_, low_w, w) },
-        #[cfg(target_arch = "aarch64")]
-        VecIsa::Neon => unsafe { neon::concat(d, hi, lo_, low_w, w) },
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::*;
-    use std::arch::x86_64::*;
-
-    /// Drives a 4-lane vector body over the slices with a scalar tail.
-    macro_rules! sweep {
-        ($d:ident, $n:expr, $i:ident, $body:expr, $tail:expr) => {{
-            let n = $n;
-            let mut $i = 0usize;
-            while $i + 4 <= n {
-                $body;
-                $i += 4;
-            }
-            while $i < n {
-                $tail;
-                $i += 1;
-            }
-        }};
-    }
-
-    #[inline(always)]
-    unsafe fn load(p: &[u64], i: usize) -> __m256i {
-        _mm256_loadu_si256(p.as_ptr().add(i) as *const __m256i)
-    }
-
-    #[inline(always)]
-    unsafe fn store(p: &mut [u64], i: usize, v: __m256i) {
-        _mm256_storeu_si256(p.as_mut_ptr().add(i) as *mut __m256i, v)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bin(op: BinOp, d: &mut [u64], a: &[u64], b: &[u64], w: u32, aw: u32) {
-        let mv = _mm256_set1_epi64x(top_word_mask(w) as i64);
-        let one = _mm256_set1_epi64x(1);
-        match op {
-            BinOp::And => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, _mm256_and_si256(load(a, i), load(b, i))),
-                d[i] = a[i] & b[i]
-            ),
-            BinOp::Or => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, _mm256_or_si256(load(a, i), load(b, i))),
-                d[i] = a[i] | b[i]
-            ),
-            BinOp::Xor => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, _mm256_xor_si256(load(a, i), load(b, i))),
-                d[i] = a[i] ^ b[i]
-            ),
-            BinOp::Add => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_and_si256(_mm256_add_epi64(load(a, i), load(b, i)), mv)
-                ),
-                d[i] = bin1(op, a[i], b[i], w, aw)
-            ),
-            BinOp::Sub => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_and_si256(_mm256_sub_epi64(load(a, i), load(b, i)), mv)
-                ),
-                d[i] = bin1(op, a[i], b[i], w, aw)
-            ),
-            // `mul_epu32` multiplies the low 32 bits of each u64 lane.
-            // For w <= 32 that is exact mod 2^w: the discarded high-32
-            // partial products contribute multiples of 2^32 ≡ 0 (mod
-            // 2^w). Wider products need the full 64×64 low half —
-            // scalar.
-            BinOp::Mul if w <= 32 => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_and_si256(_mm256_mul_epu32(load(a, i), load(b, i)), mv)
-                ),
-                d[i] = bin1(op, a[i], b[i], w, aw)
-            ),
-            BinOp::Eq => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_and_si256(_mm256_cmpeq_epi64(load(a, i), load(b, i)), one)
-                ),
-                d[i] = (a[i] == b[i]) as u64
-            ),
-            BinOp::Ne => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_andnot_si256(_mm256_cmpeq_epi64(load(a, i), load(b, i)), one)
-                ),
-                d[i] = (a[i] != b[i]) as u64
-            ),
-            // Unsigned/signed compares share one signed-compare trick:
-            // xor both sides with a bias that maps the required order
-            // onto signed i64 order. Unsigned: flip bit 63. Signed at
-            // `aw` bits: flip bit 63 *and* move the sign bit of the
-            // narrow value up (bias = 1<<63 ^ 1<<(aw-1); aw = 64 ⇒ the
-            // two flips cancel to 0, i.e. native i64 order).
-            BinOp::LtU | BinOp::LtS | BinOp::LeU | BinOp::LeS => {
-                let bias = match op {
-                    BinOp::LtU | BinOp::LeU => 1u64 << 63,
-                    _ => (1u64 << 63) ^ (1u64 << (aw - 1)),
-                };
-                let bv = _mm256_set1_epi64x(bias as i64);
-                match op {
-                    BinOp::LtU | BinOp::LtS => sweep!(
-                        d,
-                        d.len(),
-                        i,
-                        store(
-                            d,
-                            i,
-                            _mm256_and_si256(
-                                _mm256_cmpgt_epi64(
-                                    _mm256_xor_si256(load(b, i), bv),
-                                    _mm256_xor_si256(load(a, i), bv)
-                                ),
-                                one
-                            )
-                        ),
-                        d[i] = bin1(op, a[i], b[i], w, aw)
-                    ),
-                    _ => sweep!(
-                        d,
-                        d.len(),
-                        i,
-                        store(
-                            d,
-                            i,
-                            _mm256_andnot_si256(
-                                _mm256_cmpgt_epi64(
-                                    _mm256_xor_si256(load(a, i), bv),
-                                    _mm256_xor_si256(load(b, i), bv)
-                                ),
-                                one
-                            )
-                        ),
-                        d[i] = bin1(op, a[i], b[i], w, aw)
-                    ),
-                }
-            }
-            // Variable shifts vectorize only when the count operand's
-            // width equals the value width (`aw == w`): then the count
-            // is normalized below 2^w ≤ 2^64, `sllv/srlv` yield 0 for
-            // counts ≥ 64, and counts in [w, 64) shift a `< 2^w` value
-            // to 0 — all matching the saturating scalar `shift1`.
-            BinOp::Shl if aw == w => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_and_si256(_mm256_sllv_epi64(load(a, i), load(b, i)), mv)
-                ),
-                d[i] = bin1(op, a[i], b[i], w, aw)
-            ),
-            BinOp::Lshr if aw == w => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, _mm256_srlv_epi64(load(a, i), load(b, i))),
-                d[i] = bin1(op, a[i], b[i], w, aw)
-            ),
-            _ => {
-                for i in 0..d.len() {
-                    d[i] = bin1(op, a[i], b[i], w, aw);
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn un(op: UnOp, d: &mut [u64], a: &[u64], w: u32, aw: u32) {
-        let mv = _mm256_set1_epi64x(top_word_mask(w) as i64);
-        let one = _mm256_set1_epi64x(1);
-        match op {
-            // `andnot(x, m) = !x & m` — correct without assuming the
-            // operand's high bits are clear.
-            UnOp::Not => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, _mm256_andnot_si256(load(a, i), mv)),
-                d[i] = un1(op, a[i], w, aw)
-            ),
-            UnOp::Neg => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_and_si256(_mm256_sub_epi64(_mm256_setzero_si256(), load(a, i)), mv)
-                ),
-                d[i] = un1(op, a[i], w, aw)
-            ),
-            UnOp::RedAnd => {
-                let full = _mm256_set1_epi64x(top_word_mask(aw) as i64);
-                sweep!(
-                    d,
-                    d.len(),
-                    i,
-                    store(
-                        d,
-                        i,
-                        _mm256_and_si256(_mm256_cmpeq_epi64(load(a, i), full), one)
-                    ),
-                    d[i] = un1(op, a[i], w, aw)
-                )
-            }
-            UnOp::RedOr => sweep!(
-                d,
-                d.len(),
-                i,
-                store(
-                    d,
-                    i,
-                    _mm256_andnot_si256(
-                        _mm256_cmpeq_epi64(load(a, i), _mm256_setzero_si256()),
-                        one
-                    )
-                ),
-                d[i] = un1(op, a[i], w, aw)
-            ),
-            // No vector popcount in AVX2 — parity stays scalar.
-            UnOp::RedXor => {
-                for i in 0..d.len() {
-                    d[i] = un1(op, a[i], w, aw);
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mux(d: &mut [u64], sel: &[u64], t: &[u64], f: &[u64]) {
-        let one = _mm256_set1_epi64x(1);
-        sweep!(
-            d,
-            d.len(),
-            i,
-            {
-                // cmpeq yields all-ones per lane where sel bit 0 is
-                // set — a full-width mask blendv can key every byte on.
-                let sm = _mm256_cmpeq_epi64(_mm256_and_si256(load(sel, i), one), one);
-                store(d, i, _mm256_blendv_epi8(load(f, i), load(t, i), sm));
-            },
-            d[i] = if sel[i] & 1 == 1 { t[i] } else { f[i] }
-        );
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn slice(d: &mut [u64], a: &[u64], lo: u32, w: u32) {
-        let mv = _mm256_set1_epi64x(top_word_mask(w) as i64);
-        let cnt = _mm_cvtsi32_si128(lo as i32);
-        sweep!(
-            d,
-            d.len(),
-            i,
-            store(
-                d,
-                i,
-                _mm256_and_si256(_mm256_srl_epi64(load(a, i), cnt), mv)
-            ),
-            d[i] = (a[i] >> lo) & top_word_mask(w)
-        );
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sext(d: &mut [u64], a: &[u64], aw: u32, w: u32) {
-        // Widening only (w > aw; narrowing handled as a slice upstream).
-        let mv = _mm256_set1_epi64x(top_word_mask(w) as i64);
-        let msb = _mm256_set1_epi64x((1u64 << (aw - 1)) as i64);
-        let ext = _mm256_set1_epi64x((!0u64 << aw) as i64);
-        sweep!(
-            d,
-            d.len(),
-            i,
-            {
-                let x = load(a, i);
-                let neg = _mm256_cmpeq_epi64(_mm256_and_si256(x, msb), msb);
-                let s = _mm256_blendv_epi8(x, _mm256_or_si256(x, ext), neg);
-                store(d, i, _mm256_and_si256(s, mv));
-            },
-            d[i] = sext1(a[i], aw, w)
-        );
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn concat(d: &mut [u64], hi: &[u64], lo_: &[u64], low_w: u32, w: u32) {
-        let mv = _mm256_set1_epi64x(top_word_mask(w) as i64);
-        let cnt = _mm_cvtsi32_si128(low_w as i32);
-        sweep!(
-            d,
-            d.len(),
-            i,
-            store(
-                d,
-                i,
-                _mm256_and_si256(
-                    _mm256_or_si256(load(lo_, i), _mm256_sll_epi64(load(hi, i), cnt)),
-                    mv
-                )
-            ),
-            d[i] = (lo_[i] | (hi[i] << low_w)) & top_word_mask(w)
-        );
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::*;
-    use std::arch::aarch64::*;
-
-    /// Drives a 2-lane vector body over the slices with a scalar tail.
-    macro_rules! sweep {
-        ($d:ident, $n:expr, $i:ident, $body:expr, $tail:expr) => {{
-            let n = $n;
-            let mut $i = 0usize;
-            while $i + 2 <= n {
-                $body;
-                $i += 2;
-            }
-            while $i < n {
-                $tail;
-                $i += 1;
-            }
-        }};
-    }
-
-    #[inline(always)]
-    unsafe fn load(p: &[u64], i: usize) -> uint64x2_t {
-        vld1q_u64(p.as_ptr().add(i))
-    }
-
-    #[inline(always)]
-    unsafe fn store(p: &mut [u64], i: usize, v: uint64x2_t) {
-        vst1q_u64(p.as_mut_ptr().add(i), v)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn bin(op: BinOp, d: &mut [u64], a: &[u64], b: &[u64], w: u32, aw: u32) {
-        let mv = vdupq_n_u64(top_word_mask(w));
-        let one = vdupq_n_u64(1);
-        match op {
-            BinOp::And => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vandq_u64(load(a, i), load(b, i))),
-                d[i] = a[i] & b[i]
-            ),
-            BinOp::Or => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vorrq_u64(load(a, i), load(b, i))),
-                d[i] = a[i] | b[i]
-            ),
-            BinOp::Xor => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, veorq_u64(load(a, i), load(b, i))),
-                d[i] = a[i] ^ b[i]
-            ),
-            BinOp::Add => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vandq_u64(vaddq_u64(load(a, i), load(b, i)), mv)),
-                d[i] = bin1(op, a[i], b[i], w, aw)
-            ),
-            BinOp::Sub => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vandq_u64(vsubq_u64(load(a, i), load(b, i)), mv)),
-                d[i] = bin1(op, a[i], b[i], w, aw)
-            ),
-            BinOp::Eq => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vandq_u64(vceqq_u64(load(a, i), load(b, i)), one)),
-                d[i] = (a[i] == b[i]) as u64
-            ),
-            BinOp::Ne => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vbicq_u64(one, vceqq_u64(load(a, i), load(b, i)))),
-                d[i] = (a[i] != b[i]) as u64
-            ),
-            BinOp::LtU => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vandq_u64(vcltq_u64(load(a, i), load(b, i)), one)),
-                d[i] = (a[i] < b[i]) as u64
-            ),
-            BinOp::LeU => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vandq_u64(vcleq_u64(load(a, i), load(b, i)), one)),
-                d[i] = (a[i] <= b[i]) as u64
-            ),
-            // Signed compares at `aw` bits: flip the narrow sign bit
-            // so unsigned vector order matches signed `aw`-bit order.
-            BinOp::LtS | BinOp::LeS => {
-                let bias = vdupq_n_u64(1u64 << (aw - 1));
-                match op {
-                    BinOp::LtS => sweep!(
-                        d,
-                        d.len(),
-                        i,
-                        store(
-                            d,
-                            i,
-                            vandq_u64(
-                                vcltq_u64(veorq_u64(load(a, i), bias), veorq_u64(load(b, i), bias)),
-                                one
-                            )
-                        ),
-                        d[i] = bin1(op, a[i], b[i], w, aw)
-                    ),
-                    _ => sweep!(
-                        d,
-                        d.len(),
-                        i,
-                        store(
-                            d,
-                            i,
-                            vandq_u64(
-                                vcleq_u64(veorq_u64(load(a, i), bias), veorq_u64(load(b, i), bias)),
-                                one
-                            )
-                        ),
-                        d[i] = bin1(op, a[i], b[i], w, aw)
-                    ),
-                }
-            }
-            // Mul, Ashr, and both variable shifts stay scalar: NEON has
-            // no 64×64 multiply, and `USHL` keys off the count's low
-            // byte only — a count ≥ 2^32 must saturate, not wrap.
-            _ => {
-                for i in 0..d.len() {
-                    d[i] = bin1(op, a[i], b[i], w, aw);
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn un(op: UnOp, d: &mut [u64], a: &[u64], w: u32, aw: u32) {
-        let mv = vdupq_n_u64(top_word_mask(w));
-        let one = vdupq_n_u64(1);
-        match op {
-            UnOp::Not => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vbicq_u64(mv, load(a, i))),
-                d[i] = un1(op, a[i], w, aw)
-            ),
-            UnOp::Neg => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vandq_u64(vsubq_u64(vdupq_n_u64(0), load(a, i)), mv)),
-                d[i] = un1(op, a[i], w, aw)
-            ),
-            UnOp::RedAnd => {
-                let full = vdupq_n_u64(top_word_mask(aw));
-                sweep!(
-                    d,
-                    d.len(),
-                    i,
-                    store(d, i, vandq_u64(vceqq_u64(load(a, i), full), one)),
-                    d[i] = un1(op, a[i], w, aw)
-                )
-            }
-            UnOp::RedOr => sweep!(
-                d,
-                d.len(),
-                i,
-                store(d, i, vbicq_u64(one, vceqq_u64(load(a, i), vdupq_n_u64(0)))),
-                d[i] = un1(op, a[i], w, aw)
-            ),
-            UnOp::RedXor => {
-                for i in 0..d.len() {
-                    d[i] = un1(op, a[i], w, aw);
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn mux(d: &mut [u64], sel: &[u64], t: &[u64], f: &[u64]) {
-        let one = vdupq_n_u64(1);
-        sweep!(
-            d,
-            d.len(),
-            i,
-            {
-                let sm = vceqq_u64(vandq_u64(load(sel, i), one), one);
-                store(d, i, vbslq_u64(sm, load(t, i), load(f, i)));
-            },
-            d[i] = if sel[i] & 1 == 1 { t[i] } else { f[i] }
-        );
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn slice(d: &mut [u64], a: &[u64], lo: u32, w: u32) {
-        let mv = vdupq_n_u64(top_word_mask(w));
-        // A compile-time-unknown right shift is a left shift by a
-        // negative count (`lo <= 63`, so the low byte is exact).
-        let cnt = vdupq_n_s64(-(lo as i64));
-        sweep!(
-            d,
-            d.len(),
-            i,
-            store(d, i, vandq_u64(vshlq_u64(load(a, i), cnt), mv)),
-            d[i] = (a[i] >> lo) & top_word_mask(w)
-        );
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn concat(d: &mut [u64], hi: &[u64], lo_: &[u64], low_w: u32, w: u32) {
-        let mv = vdupq_n_u64(top_word_mask(w));
-        let cnt = vdupq_n_s64(low_w as i64);
-        sweep!(
-            d,
-            d.len(),
-            i,
-            store(
-                d,
-                i,
-                vandq_u64(vorrq_u64(load(lo_, i), vshlq_u64(load(hi, i), cnt)), mv)
-            ),
-            d[i] = (lo_[i] | (hi[i] << low_w)) & top_word_mask(w)
-        );
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Every vector kernel must agree with the scalar helpers for all
-    /// ops at awkward widths, lane counts that exercise both the
-    /// vector body and the scalar tail, and operand corner values.
+    /// Every instantiation this host can run: the inlined loops, plus
+    /// the AVX2 wrappers when the CPU has them (regardless of the lane
+    /// threshold — the tests drive the kernels directly).
+    pub(crate) fn test_isas() -> Vec<VecIsa> {
+        let mut isas = vec![VecIsa::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            isas.push(VecIsa::Avx2);
+        }
+        isas
+    }
+
+    /// The instantiation follows the CPU and the lane threshold only.
+    #[test]
+    fn isa_follows_the_lane_threshold() {
+        for lanes in [1, 2, AVX2_MIN_LANES - 1] {
+            assert_eq!(VecIsa::for_lanes(lanes), VecIsa::Scalar, "{lanes} lanes");
+        }
+        let wide = *test_isas().last().expect("scalar is always present");
+        for lanes in [AVX2_MIN_LANES, AVX2_MIN_LANES + 1, 64] {
+            assert_eq!(VecIsa::for_lanes(lanes), wide, "{lanes} lanes");
+        }
+    }
+
+    /// Every kernel, under every instantiation, must agree with the
+    /// scalar helpers for all ops at awkward widths, operand corner
+    /// values, and chunk lengths on both sides of every vector width
+    /// and of the lane threshold.
     #[test]
     fn vector_kernels_match_scalar_helpers() {
-        let isa = VecIsa::detect();
         let widths = [1u32, 5, 31, 32, 33, 63, 64];
         let vals = [0u64, 1, 2, 0x5a5a_5a5a, u64::MAX, 1 << 31, (1 << 31) - 1];
-        let lanes = [1usize, 2, 3, 4, 5, 7, 8, 9];
+        let lanes = [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33];
         let bins = [
             BinOp::And,
             BinOp::Or,
@@ -806,105 +261,110 @@ mod tests {
             UnOp::RedOr,
             UnOp::RedXor,
         ];
-        for &n in &lanes {
-            for &w in &widths {
-                let m = top_word_mask(w);
-                // Lane-varied operands from the corner values.
-                let av: Vec<u64> = (0..n)
-                    .map(|l| vals[l % vals.len()].rotate_left(l as u32) & m)
-                    .collect();
-                let bv: Vec<u64> = (0..n).map(|l| vals[(l + 3) % vals.len()] & m).collect();
-                let mut d = vec![0u64; n];
-                let mut exp = vec![0u64; n];
-                for op in bins {
-                    let rw = match op {
-                        BinOp::Eq
-                        | BinOp::Ne
-                        | BinOp::LtU
-                        | BinOp::LtS
-                        | BinOp::LeU
-                        | BinOp::LeS => 1,
-                        _ => w,
-                    };
-                    vbin(isa, op, &mut d, &av, &bv, rw, w);
-                    for l in 0..n {
-                        exp[l] = bin1(op, av[l], bv[l], rw, w);
+        for isa in test_isas() {
+            for &n in &lanes {
+                for &w in &widths {
+                    let m = top_word_mask(w);
+                    // Lane-varied operands from the corner values.
+                    let av: Vec<u64> = (0..n)
+                        .map(|l| vals[l % vals.len()].rotate_left(l as u32) & m)
+                        .collect();
+                    let bv: Vec<u64> = (0..n).map(|l| vals[(l + 3) % vals.len()] & m).collect();
+                    let mut d = vec![0u64; n];
+                    let mut exp = vec![0u64; n];
+                    let tag = format!("w={w} n={n} isa={}", isa.name());
+                    for op in bins {
+                        let rw = match op {
+                            BinOp::Eq
+                            | BinOp::Ne
+                            | BinOp::LtU
+                            | BinOp::LtS
+                            | BinOp::LeU
+                            | BinOp::LeS => 1,
+                            _ => w,
+                        };
+                        vbin(isa, op, &mut d, &av, &bv, rw, w);
+                        for l in 0..n {
+                            exp[l] = bin1(op, av[l], bv[l], rw, w);
+                        }
+                        assert_eq!(d, exp, "{op:?} {tag}");
                     }
-                    assert_eq!(d, exp, "{op:?} w={w} n={n}");
-                }
-                for op in uns {
-                    let rw = match op {
-                        UnOp::Not | UnOp::Neg => w,
-                        _ => 1,
-                    };
-                    vun(isa, op, &mut d, &av, rw, w);
-                    for l in 0..n {
-                        exp[l] = un1(op, av[l], rw, w);
+                    for op in uns {
+                        let rw = match op {
+                            UnOp::Not | UnOp::Neg => w,
+                            _ => 1,
+                        };
+                        vun(isa, op, &mut d, &av, rw, w);
+                        for l in 0..n {
+                            exp[l] = un1(op, av[l], rw, w);
+                        }
+                        assert_eq!(d, exp, "{op:?} {tag}");
                     }
-                    assert_eq!(d, exp, "{op:?} w={w} n={n}");
-                }
-                // Mux on both selector polarities per lane.
-                let sel: Vec<u64> = (0..n).map(|l| (l & 1) as u64).collect();
-                vmux(isa, &mut d, &sel, &av, &bv);
-                for l in 0..n {
-                    exp[l] = if sel[l] & 1 == 1 { av[l] } else { bv[l] };
-                }
-                assert_eq!(d, exp, "mux w={w} n={n}");
-                // Slices at assorted positions; zext/sext to wider.
-                for lo in [0, 1, w / 2, w - 1] {
-                    let sw = (w - lo).clamp(1, 7);
-                    vslice(isa, &mut d, &av, lo, sw);
-                    let sm = top_word_mask(sw);
+                    // Mux on both selector polarities per lane.
+                    let sel: Vec<u64> = (0..n).map(|l| (l & 1) as u64).collect();
+                    vmux(isa, &mut d, &sel, &av, &bv);
                     for l in 0..n {
-                        exp[l] = (av[l] >> lo) & sm;
+                        exp[l] = if sel[l] & 1 == 1 { av[l] } else { bv[l] };
                     }
-                    assert_eq!(d, exp, "slice w={w} lo={lo} n={n}");
-                }
-                for &wide in widths.iter().filter(|&&x| x >= w) {
-                    vsext(isa, &mut d, &av, w, wide);
-                    for l in 0..n {
-                        exp[l] = sext1(av[l], w, wide);
+                    assert_eq!(d, exp, "mux {tag}");
+                    // Slices at assorted positions; zext/sext to wider.
+                    for lo in [0, 1, w / 2, w - 1] {
+                        let sw = (w - lo).clamp(1, 7);
+                        vslice(isa, &mut d, &av, lo, sw);
+                        let sm = top_word_mask(sw);
+                        for l in 0..n {
+                            exp[l] = (av[l] >> lo) & sm;
+                        }
+                        assert_eq!(d, exp, "slice lo={lo} {tag}");
                     }
-                    assert_eq!(d, exp, "sext {w}->{wide} n={n}");
-                    vzext(isa, &mut d, &av, w);
-                    for l in 0..n {
-                        exp[l] = av[l] & m;
+                    for &wide in widths.iter().filter(|&&x| x >= w) {
+                        vsext(isa, &mut d, &av, w, wide);
+                        for l in 0..n {
+                            exp[l] = sext1(av[l], w, wide);
+                        }
+                        assert_eq!(d, exp, "sext ->{wide} {tag}");
+                        vzext(isa, &mut d, &av, w);
+                        for l in 0..n {
+                            exp[l] = av[l] & m;
+                        }
+                        assert_eq!(d, exp, "zext {tag}");
                     }
-                    assert_eq!(d, exp, "zext w={w} n={n}");
-                }
-                for lw in (1..w).step_by(7) {
-                    let hv: Vec<u64> = av.iter().map(|&a| a & top_word_mask(w - lw)).collect();
-                    let lv: Vec<u64> = bv.iter().map(|&b| b & top_word_mask(lw)).collect();
-                    vconcat(isa, &mut d, &hv, &lv, lw, w);
-                    for l in 0..n {
-                        exp[l] = (lv[l] | (hv[l] << lw)) & m;
+                    for lw in (1..w).step_by(7) {
+                        let hv: Vec<u64> = av.iter().map(|&a| a & top_word_mask(w - lw)).collect();
+                        let lv: Vec<u64> = bv.iter().map(|&b| b & top_word_mask(lw)).collect();
+                        vconcat(isa, &mut d, &hv, &lv, lw, w);
+                        for l in 0..n {
+                            exp[l] = (lv[l] | (hv[l] << lw)) & m;
+                        }
+                        assert_eq!(d, exp, "concat lw={lw} {tag}");
                     }
-                    assert_eq!(d, exp, "concat lw={lw} w={w} n={n}");
                 }
             }
         }
     }
 
-    /// Shift counts far above the value width must saturate to zero in
-    /// the vector path exactly like the scalar `shift1` contract.
+    /// Shift counts far above the value width must saturate to zero
+    /// under every instantiation, exactly like the scalar `shift1`
+    /// contract.
     #[test]
     fn vector_shifts_saturate_on_huge_counts() {
-        let isa = VecIsa::detect();
-        for &w in &[32u32, 64] {
-            let m = top_word_mask(w);
-            let av = vec![m, 1, m, 0x1234 & m];
-            // Counts straddling w, 64, u32::MAX, and beyond (only
-            // representable when the count width is 64).
-            let bv: Vec<u64> = if w == 64 {
-                vec![w as u64 - 1, w as u64, u32::MAX as u64 + 1, u64::MAX]
-            } else {
-                vec![w as u64 - 1, w as u64, w as u64 + 1, m]
-            };
-            let mut d = vec![0u64; 4];
-            for op in [BinOp::Shl, BinOp::Lshr] {
-                vbin(isa, op, &mut d, &av, &bv, w, w);
-                for l in 0..4 {
-                    assert_eq!(d[l], bin1(op, av[l], bv[l], w, w), "{op:?} w={w} l={l}");
+        for isa in test_isas() {
+            for &w in &[32u32, 64] {
+                let m = top_word_mask(w);
+                let av = vec![m, 1, m, 0x1234 & m];
+                // Counts straddling w, 64, u32::MAX, and beyond (only
+                // representable when the count width is 64).
+                let bv: Vec<u64> = if w == 64 {
+                    vec![w as u64 - 1, w as u64, u32::MAX as u64 + 1, u64::MAX]
+                } else {
+                    vec![w as u64 - 1, w as u64, w as u64 + 1, m]
+                };
+                let mut d = vec![0u64; 4];
+                for op in [BinOp::Shl, BinOp::Lshr] {
+                    vbin(isa, op, &mut d, &av, &bv, w, w);
+                    for l in 0..4 {
+                        assert_eq!(d[l], bin1(op, av[l], bv[l], w, w), "{op:?} w={w} l={l}");
+                    }
                 }
             }
         }

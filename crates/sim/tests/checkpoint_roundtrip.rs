@@ -211,8 +211,9 @@ fn corrupted_snapshots_are_rejected() {
 }
 
 /// A snapshot must refuse to restore into an engine of a different
-/// shape — different lane count or different circuit — with a message
-/// naming the mismatch, leaving the target untouched.
+/// shape — different lane count, different circuit, or a gang snapshot
+/// in the retired lane-major word order — with a message naming the
+/// mismatch, leaving the target untouched.
 #[test]
 fn restore_rejects_mismatched_engines() {
     let (c, comp) = multi_chip(74);
@@ -240,6 +241,33 @@ fn restore_rejects_mismatched_engines() {
         }
         other => panic!("expected shape mismatch, got {other:?}"),
     }
+
+    // A 2-lane snapshot carrying layout word 0 — what the deleted
+    // lane-major gang path wrote. Every buffer has the same size but
+    // the words are in a different order, so it must be refused, not
+    // misread. The layout word follows the circuit name, lane count
+    // and packed word count; the checksum is redone so only the
+    // fingerprint can object.
+    let mut two = GangSimulator::new(&c, &comp.partition, 2, 2);
+    two.run(3);
+    let mut bytes = two.snapshot().to_bytes();
+    let at = 16 + 4 + c.name.len() + 8;
+    assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes(), "gangs interleave");
+    bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = parendi_core::key::fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    let lane_major = Snapshot::from_bytes(&bytes).expect("well-formed snapshot");
+    two.run(4);
+    let before = [lane_state(&two, 0), lane_state(&two, 1)];
+    match two.restore(&lane_major) {
+        Err(SnapshotError::ShapeMismatch(msg)) => {
+            assert!(msg.contains("layout"), "should name the layout: {msg}")
+        }
+        other => panic!("expected shape mismatch, got {other:?}"),
+    }
+    assert_eq!(two.cycle(), 7, "failed restore must not touch state");
+    assert_eq!([lane_state(&two, 0), lane_state(&two, 1)], before);
 }
 
 const CHILD_ENV: &str = "PARENDI_CKPT_CHILD_PATH";

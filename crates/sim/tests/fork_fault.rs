@@ -44,7 +44,11 @@ fn fork_broadcasts_the_golden_lane() {
     let (c, comp) = multi_chip(81);
     for packed in [false, true] {
         let lanes = if packed { 6 } else { 5 };
-        let mut gang = GangSimulator::with_layout(&c, &comp.partition, 2, lanes, packed, false);
+        let mut gang = if packed {
+            GangSimulator::new_packed(&c, &comp.partition, 2, lanes)
+        } else {
+            GangSimulator::new(&c, &comp.partition, 2, lanes)
+        };
         for l in 0..lanes {
             gang.poke_lane("in0", l, 7 + l as u64);
             gang.poke_lane("in1", l, l as u64);

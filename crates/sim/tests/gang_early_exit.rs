@@ -45,6 +45,72 @@ fn reference_lane<'c>(
     sim
 }
 
+/// Runs a `lanes`-wide gang for 20 cycles, retires `retire`, runs 50
+/// more, and checks that every retired lane froze bit-exactly at its
+/// cycle-20 state (outputs included, peeked an odd number of cycles
+/// after retirement) while every survivor matches its reference after
+/// the full 70. Returns the gang for further checks.
+fn check_freeze<'c>(
+    c: &'c parendi_rtl::Circuit,
+    partition: &parendi_core::Partition,
+    lanes: usize,
+    retire: &[usize],
+) -> GangSimulator<'c> {
+    let stim = lane_stim(c, lanes as u32, 70);
+    let mut gang = GangSimulator::new(c, partition, 4, lanes);
+    assert_eq!(gang.active_lanes(), lanes);
+
+    gang.run_stimulus(20, &stim);
+    // The `retire` lanes reach their verdict at cycle 20.
+    for &l in retire {
+        gang.finish_lane(l);
+        assert!(!gang.lane_is_active(l));
+    }
+    assert!(gang.lane_is_active(0));
+    assert_eq!(gang.active_lanes(), lanes - retire.len());
+
+    // Run an *odd* number of cycles first: a retired lane's mailbox
+    // epochs stop alternating, so output peeks must replay at the
+    // freeze parity, not the live one.
+    gang.run_stimulus(23, &stim);
+    for &l in retire {
+        let ref20 = reference_lane(c, &stim, l as u32, 20);
+        for o in &c.outputs {
+            assert_eq!(
+                gang.peek_output_lane(&o.name, l).expect("output exists"),
+                ref20.output(&o.name).expect("output exists"),
+                "retired lane {l} output {} not frozen at odd parity",
+                o.name
+            );
+        }
+    }
+    gang.run_stimulus(27, &stim);
+    assert_eq!(gang.cycle(), 70);
+
+    // Retired lanes froze exactly at their cycle-20 state (which the
+    // reference reproduces by stopping there); survivors ran the full
+    // 70 cycles bit-exactly.
+    for lane in 0..lanes {
+        let retired = retire.contains(&lane);
+        let reference = reference_lane(c, &stim, lane as u32, if retired { 20 } else { 70 });
+        for i in 0..c.regs.len() {
+            assert_eq!(
+                gang.reg_value_lane(RegId(i as u32), lane),
+                reference.reg_value(RegId(i as u32)),
+                "lane {lane}/{lanes} (retired: {retired}): reg {i} diverged"
+            );
+        }
+        for idx in 0..c.arrays[0].depth {
+            assert_eq!(
+                gang.array_value_lane(parendi_rtl::ArrayId(0), idx, lane),
+                reference.array_value(parendi_rtl::ArrayId(0), idx),
+                "lane {lane}/{lanes} (retired: {retired}): mem[{idx}] diverged"
+            );
+        }
+    }
+    gang
+}
+
 /// Retiring a lane freezes its registers and arrays at the retirement
 /// cycle, while every surviving lane stays bit-identical to its
 /// reference through the rest of the run.
@@ -54,80 +120,7 @@ fn finished_lane_freezes_and_survivors_keep_matching() {
     let mut cfg = PartitionConfig::with_tiles(8);
     cfg.tiles_per_chip = 4; // multi-chip: the off-chip flush skips retired lanes too
     let comp = compile(&c, &cfg).expect("compiles");
-    let lanes = 4usize;
-    let stim = lane_stim(&c, lanes as u32, 70);
-    let mut gang = GangSimulator::new(&c, &comp.partition, 4, lanes);
-    assert_eq!(gang.active_lanes(), lanes);
-
-    gang.run_stimulus(20, &stim);
-    // Lane 1 reaches its verdict at cycle 20: retire it.
-    gang.finish_lane(1);
-    assert!(!gang.lane_is_active(1));
-    assert!(gang.lane_is_active(0));
-    assert_eq!(gang.active_lanes(), lanes - 1);
-    let frozen: Vec<Bits> = (0..c.regs.len())
-        .map(|i| gang.reg_value_lane(RegId(i as u32), 1))
-        .collect();
-    let frozen_mem: Vec<Bits> = (0..c.arrays[0].depth)
-        .map(|i| gang.array_value_lane(parendi_rtl::ArrayId(0), i, 1))
-        .collect();
-
-    // Run an *odd* number of cycles first: a retired lane's mailbox
-    // epochs stop alternating, so output peeks must replay at the
-    // freeze parity, not the live one.
-    gang.run_stimulus(23, &stim);
-    let ref20 = reference_lane(&c, &stim, 1, 20);
-    for o in &c.outputs {
-        assert_eq!(
-            gang.peek_output_lane(&o.name, 1).expect("output exists"),
-            ref20.output(&o.name).expect("output exists"),
-            "retired lane output {} not frozen at odd parity",
-            o.name
-        );
-    }
-    gang.run_stimulus(27, &stim);
-    assert_eq!(gang.cycle(), 70);
-
-    // The retired lane froze exactly at its cycle-20 state (which the
-    // reference reproduces by stopping there).
-    for (i, expect) in frozen.iter().enumerate() {
-        assert_eq!(
-            &gang.reg_value_lane(RegId(i as u32), 1),
-            expect,
-            "retired lane reg {i} moved after finish_lane"
-        );
-        assert_eq!(
-            expect,
-            &ref20.reg_value(RegId(i as u32)),
-            "frozen reg {i} is not the cycle-20 state"
-        );
-    }
-    for idx in 0..c.arrays[0].depth {
-        assert_eq!(
-            gang.array_value_lane(parendi_rtl::ArrayId(0), idx, 1),
-            frozen_mem[idx as usize],
-            "retired lane mem[{idx}] moved after finish_lane"
-        );
-    }
-
-    // Survivors ran the full 70 cycles bit-exactly.
-    for lane in [0usize, 2, 3] {
-        let reference = reference_lane(&c, &stim, lane as u32, 70);
-        for i in 0..c.regs.len() {
-            assert_eq!(
-                gang.reg_value_lane(RegId(i as u32), lane),
-                reference.reg_value(RegId(i as u32)),
-                "surviving lane {lane}: reg {i} diverged"
-            );
-        }
-        for idx in 0..c.arrays[0].depth {
-            assert_eq!(
-                gang.array_value_lane(parendi_rtl::ArrayId(0), idx, lane),
-                reference.array_value(parendi_rtl::ArrayId(0), idx),
-                "surviving lane {lane}: mem[{idx}] diverged"
-            );
-        }
-    }
+    let mut gang = check_freeze(&c, &comp.partition, 4, &[1]);
 
     // Retiring again is a no-op; retiring the rest leaves one lane.
     gang.finish_lane(1);
@@ -138,6 +131,20 @@ fn finished_lane_freezes_and_survivors_keep_matching() {
     // stays honest.
     let ph = gang.run_timed(5);
     assert_eq!(ph.lanes, 1);
+}
+
+/// A gang wide enough for the AVX2 kernel instantiation (>= 16 lanes)
+/// whose survivors form runs of 3, 5, 5 and 3 consecutive lanes: every
+/// sweep goes through the wide instantiation on chunks shorter than
+/// the lane threshold, and must freeze and match exactly like the
+/// narrow gang above.
+#[test]
+fn wide_gang_short_survivor_runs_keep_matching() {
+    let c = random_circuit_io(21, 10, 50, 3);
+    let mut cfg = PartitionConfig::with_tiles(8);
+    cfg.tiles_per_chip = 4;
+    let comp = compile(&c, &cfg).expect("compiles");
+    check_freeze(&c, &comp.partition, 20, &[3, 9, 10, 16]);
 }
 
 /// A compute-heavy chain circuit: enough per-cycle work that lane

@@ -96,8 +96,11 @@ fn check_gang(
 }
 
 /// The ISSUE's acceptance matrix: Pre/Post multi-chip distribution ×
-/// 1/2/4/8 threads × 1/4/16 lanes, per-lane stimulus, array writes and
-/// primary-output readback checked in every lane.
+/// 1/2/4/8 threads × lanes {1, 2, 3, 4, 15, 16, 17}, per-lane stimulus,
+/// array writes and primary-output readback checked in every lane. One
+/// lane is the scalar instantiation; 2-4 are the narrowest
+/// word-interleaved gangs; 15/16/17 straddle the lane count at which
+/// the engine switches lane-kernel instantiations.
 #[test]
 fn gang_matrix_matches_reference_per_lane() {
     for seed in [11u64, 23] {
@@ -107,7 +110,7 @@ fn gang_matrix_matches_reference_per_lane() {
             cfg.tiles_per_chip = 4; // force real multi-chip paths
             cfg.multi_chip = mc;
             for &threads in &[1usize, 2, 4, 8] {
-                for &lanes in &[1usize, 4, 16] {
+                for &lanes in &[1usize, 2, 3, 4, 15, 16, 17] {
                     check_gang(&c, &cfg, threads, lanes, 25, seed);
                 }
             }
