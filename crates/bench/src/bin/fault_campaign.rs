@@ -208,6 +208,7 @@ fn main() {
             tiles: comp.partition.tiles_used(),
             lanes: leg.lanes as u32,
             threads: threads as u32,
+            cores: parendi_bench::host_cores(),
             cycles: left,
             cycles_per_s: left as f64 / report.seconds.max(1e-12),
             lane_cycles_per_s: report.fault_lane_cycles_per_s(),

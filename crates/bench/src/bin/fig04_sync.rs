@@ -7,7 +7,8 @@
 //! the barrier costs come from the machine models of §4.1.
 
 use parendi_bench::{
-    baseline_rate, load_baseline, parse_quick_flag, vs_baseline_cell, write_bench_json, BenchRecord,
+    append_bench_json, baseline_rate, load_baseline, parse_quick_flag, vs_baseline_cell,
+    BenchRecord,
 };
 use parendi_core::{compile, PartitionConfig};
 use parendi_designs::prng::build_prng_bank;
@@ -15,6 +16,9 @@ use parendi_graph::{extract_fibers, CostModel};
 use parendi_machine::ipu::IpuConfig;
 use parendi_machine::x64::X64Config;
 use parendi_sim::BspSimulator;
+
+/// Seconds each measured pool runs before it is timed.
+const WARM_S: f64 = 1.5;
 
 fn main() {
     parse_quick_flag();
@@ -83,13 +87,15 @@ fn main() {
     // pure synchronization — the executable counterpart of the modeled
     // barrier costs above. The kcyc/s column comes from *untimed* runs
     // (best of three; timed runs pay per-tile clock reads), the phase
-    // columns from one timed run; every row lands in BENCH_fig04.json
-    // and prints its delta against the checked-in pre-PR baseline.
+    // columns from one timed run; every row is appended to
+    // BENCH_fig04.json (a trajectory: earlier rows stay, each new row
+    // stamped with the host's core count) and prints its delta against
+    // the checked-in pre-PR baseline.
     let base = load_baseline();
     let bank = build_prng_bank(64);
     let comp = compile(&bank, &PartitionConfig::with_tiles(32)).expect("prng bank fits");
     println!(
-        "\nHost engine (measured, {} tiles, t_comm = 0): exchange phase is barrier cost",
+        "\nHost engine (measured, {} tiles, t_comm = 0): exchange phase is pure sync cost",
         comp.partition.tiles_used()
     );
     println!(
@@ -99,8 +105,15 @@ fn main() {
     let mut records = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let mut sim = BspSimulator::new(&bank, &comp.partition, threads);
-        sim.run(100); // warm the persistent pool
-        let cycles = 2000u64;
+        // Warm the persistent pool until the host has spread it: a
+        // fresh pool can start on one core and be migrated only after
+        // about a second, and with independent workers (no neighbour
+        // ever parks) nothing else hurries the scheduler along.
+        let warm = std::time::Instant::now();
+        while warm.elapsed().as_secs_f64() < WARM_S {
+            sim.run(20_000);
+        }
+        let cycles = 20_000u64;
         let best = (0..3).map(|_| sim.run(cycles)).fold(f64::MAX, f64::min);
         let ph = sim.run_timed(cycles);
         let rate = cycles as f64 / best;
@@ -135,8 +148,12 @@ fn main() {
             &ph,
         ));
     }
-    match write_bench_json("fig04", &records) {
-        Ok(path) => println!("\nwrote {} ({} records)", path.display(), records.len()),
+    match append_bench_json("fig04", &records) {
+        Ok((path, rows)) => println!(
+            "\nappended {} records to {} ({rows} rows)",
+            records.len(),
+            path.display()
+        ),
         Err(e) => println!("\ncould not write BENCH_fig04.json: {e}"),
     }
     if let Some(base) = &base {

@@ -120,6 +120,7 @@ fn sweep_design(
         tiles: tiles_used,
         lanes,
         threads: threads as u32,
+        cores: parendi_bench::host_cores(),
         cycles,
         ..BenchRecord::default()
     };

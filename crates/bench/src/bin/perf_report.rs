@@ -100,6 +100,28 @@ fn main() {
         );
     }
 
+    // The fold behind those numbers: how tiles met workers, what each
+    // worker is modelled to carry, and who waits for whom.
+    let fold = sim.fold_report();
+    println!(
+        "\nTile→worker fold ({} of {} mailbox words/cycle cross workers, \
+         heaviest worker at {}‰ of the mean):",
+        fold.cross_worker_words(),
+        fold.total_words(),
+        fold.max_load_permille()
+    );
+    println!(
+        "{:>10} {:>7} {:>10} {:>12} {:>12} {:>10}",
+        "worker", "tiles", "load", "cross words", "total words", "neighbours"
+    );
+    rule(66);
+    for (w, f) in fold.workers.iter().enumerate() {
+        println!(
+            "{w:>10} {:>7} {:>10} {:>12} {:>12} {:>10}",
+            f.tiles, f.load, f.cross_words, f.total_words, f.neighbors
+        );
+    }
+
     // Per-worker phase share from the event-trace tracks: how each
     // worker's traced span time divides among the span kinds.
     let summaries = sim.trace_summaries();
@@ -175,6 +197,7 @@ fn main() {
         tiles: comp.partition.tiles_used() as u32,
         lanes: 1,
         threads: threads as u32,
+        cores: parendi_bench::host_cores(),
         cycles,
         cycles_per_s: cycles as f64 / ph.total_s.max(1e-12),
         lane_cycles_per_s: cycles as f64 / ph.total_s.max(1e-12),

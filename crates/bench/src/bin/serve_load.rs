@@ -227,6 +227,7 @@ fn run_load(
         tiles: 0,
         lanes: SCENARIOS_PER_BATCH as u32,
         threads: clients as u32,
+        cores: parendi_bench::host_cores(),
         cycles,
         cycles_per_s: scen as f64 / secs,
         lane_cycles_per_s: scen_cycles as f64 / secs,

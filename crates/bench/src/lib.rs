@@ -40,6 +40,12 @@ pub fn parse_quick_flag() {
     }
 }
 
+/// Cores the host offers this process (`available_parallelism`; 0 when
+/// unknown) — the stamp every fresh [`BenchRecord`] carries.
+pub fn host_cores() -> u32 {
+    std::thread::available_parallelism().map_or(0, |c| c.get() as u32)
+}
+
 /// One machine-readable measurement of an engine run: the row schema of
 /// the `BENCH_*.json` files every engine-column bench bin emits (and of
 /// the checked-in pre-PR baselines they compare against).
@@ -68,6 +74,10 @@ pub struct BenchRecord {
     pub lanes: u32,
     /// Worker threads requested.
     pub threads: u32,
+    /// Cores the measuring host offered (`available_parallelism`);
+    /// absent in pre-PR13 rows, parsed as 0 = unknown. A multi-thread
+    /// row means little without it.
+    pub cores: u32,
     /// RTL cycles of the measured run.
     pub cycles: u64,
     /// Wall-clock RTL cycles per second (untimed run, best rep).
@@ -119,6 +129,7 @@ impl BenchRecord {
             tiles,
             lanes,
             threads,
+            cores: host_cores(),
             cycles,
             cycles_per_s,
             lane_cycles_per_s: cycles_per_s * lanes as f64,
@@ -150,7 +161,7 @@ impl BenchRecord {
         format!(
             "{{\"bin\":\"{}\",\"design\":\"{}\",\"engine\":\"{}\",\"packed\":{},\"simd\":\"{}\",\
              \"chips\":{},\"tiles\":{},\
-             \"lanes\":{},\"threads\":{},\"cycles\":{},\"cycles_per_s\":{:.1},\
+             \"lanes\":{},\"threads\":{},\"cores\":{},\"cycles\":{},\"cycles_per_s\":{:.1},\
              \"lane_cycles_per_s\":{:.1},\"compute_s\":{:.9},\"offchip_s\":{:.9},\
              \"exchange_s\":{:.9},\"overlap_s\":{:.9},\"total_s\":{:.9}{metrics}}}",
             self.bin,
@@ -162,6 +173,7 @@ impl BenchRecord {
             self.tiles,
             self.lanes,
             self.threads,
+            self.cores,
             self.cycles,
             self.cycles_per_s,
             self.lane_cycles_per_s,
@@ -185,15 +197,49 @@ pub fn bench_records_json(records: &[BenchRecord]) -> String {
     out
 }
 
+/// `$PARENDI_BENCH_DIR/BENCH_<bin>.json` (default directory: the
+/// current one), with the directory created.
+fn bench_json_path(bin: &str) -> std::io::Result<std::path::PathBuf> {
+    let dir = std::env::var("PARENDI_BENCH_DIR").unwrap_or_else(|_| ".".into());
+    std::fs::create_dir_all(&dir)?;
+    Ok(std::path::Path::new(&dir).join(format!("BENCH_{bin}.json")))
+}
+
 /// Writes `BENCH_<bin>.json` into `$PARENDI_BENCH_DIR` (default: the
 /// current directory) and returns the path. The CI bench smoke uploads
 /// these as artifacts — the perf trajectory of the engine.
 pub fn write_bench_json(bin: &str, records: &[BenchRecord]) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::env::var("PARENDI_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    std::fs::create_dir_all(&dir)?;
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{bin}.json"));
+    let path = bench_json_path(bin)?;
     std::fs::write(&path, bench_records_json(records))?;
     Ok(path)
+}
+
+/// Appends `records` to `BENCH_<bin>.json` in `$PARENDI_BENCH_DIR`
+/// (default: the current directory), leaving every row already there
+/// byte for byte — a trajectory file, in which the newest row of a key
+/// is the last one. Returns the path and the total row count.
+pub fn append_bench_json(
+    bin: &str,
+    records: &[BenchRecord],
+) -> std::io::Result<(std::path::PathBuf, usize)> {
+    let path = bench_json_path(bin)?;
+    let rows = append_rows(&path, records)?;
+    Ok((path, rows))
+}
+
+/// [`append_bench_json`] on an explicit file; returns the row count.
+fn append_rows(path: &std::path::Path, records: &[BenchRecord]) -> std::io::Result<usize> {
+    let old = std::fs::read_to_string(path).unwrap_or_default();
+    // Everything up to the closing bracket is history, kept verbatim.
+    let history = old.rfind(']').map_or("[", |at| old[..at].trim_end());
+    let mut text = String::from(history);
+    for r in records {
+        text.push_str(if text.ends_with('[') { "\n" } else { ",\n" });
+        text.push_str(&r.to_json());
+    }
+    text.push_str("\n]\n");
+    std::fs::write(path, &text)?;
+    Ok(parse_bench_json(&text).len())
 }
 
 /// Byte offset of the `}` matching the `{` at `open` (depth-counted;
@@ -258,6 +304,8 @@ pub fn parse_bench_json(text: &str) -> Vec<BenchRecord> {
                 "tiles" => r.tiles = n as u32,
                 "lanes" => r.lanes = n as u32,
                 "threads" => r.threads = n as u32,
+                // Absent in pre-PR13 rows: stays 0 (unknown).
+                "cores" => r.cores = n as u32,
                 "cycles" => r.cycles = n as u64,
                 "cycles_per_s" => r.cycles_per_s = n,
                 "lane_cycles_per_s" => r.lane_cycles_per_s = n,
@@ -290,7 +338,8 @@ pub fn load_baseline() -> Option<Vec<BenchRecord>> {
 /// is an exact key component: strided rows (and pre-PR6 baselines)
 /// carry the empty tag, so old baselines keep matching strided rows
 /// while word-interleaved SIMD rows only gate against a baseline that
-/// measured the same ISA.
+/// measured the same ISA. In a trajectory file (several rows per key,
+/// see [`append_bench_json`]) the newest — last — row answers.
 #[allow(clippy::too_many_arguments)]
 pub fn baseline_rate(
     base: &[BenchRecord],
@@ -303,6 +352,7 @@ pub fn baseline_rate(
     threads: u32,
 ) -> Option<f64> {
     base.iter()
+        .rev()
         .find(|r| {
             r.bin == bin
                 && r.design == design
@@ -734,6 +784,33 @@ mod tests {
         assert!(!both[0].metrics.is_empty());
         assert!(both[1].metrics.is_empty());
         assert!(check_regressions(&both[1..], &both[..1], 0.25).is_empty());
+    }
+
+    /// The `cores` stamp round-trips, rows without it (pre-PR13) parse
+    /// as 0, and appending to a trajectory file keeps the old rows byte
+    /// for byte with the newest row of a key answering rate lookups.
+    #[test]
+    fn cores_field_and_trajectory_append() {
+        let mut r = rec("prng64", "bsp", false, 1, 5.0e5);
+        r.cores = 2;
+        let parsed = parse_bench_json(&bench_records_json(std::slice::from_ref(&r)));
+        assert_eq!(parsed[0].cores, 2);
+        let old = "[\n{\"bin\":\"gang_lanes\",\"design\":\"prng64\",\"engine\":\"bsp\",\
+                   \"lanes\":1,\"threads\":1,\"lane_cycles_per_s\":4000.0}\n]\n";
+        assert_eq!(parse_bench_json(old)[0].cores, 0);
+
+        let dir = std::env::temp_dir().join(format!("parendi-append-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_traj.json");
+        std::fs::write(&path, old).unwrap();
+        let rows = append_rows(&path, std::slice::from_ref(&r)).unwrap();
+        assert_eq!(rows, 2);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(old.trim_end().trim_end_matches(']').trim_end()));
+        let all = parse_bench_json(&text);
+        let newest = baseline_rate(&all, "gang_lanes", "prng64", "bsp", false, "", 1, 1);
+        assert_eq!(newest, Some(5.0e5), "the last row of a key answers");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

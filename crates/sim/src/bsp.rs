@@ -2,9 +2,12 @@
 //! unified execution core.
 //!
 //! Executes a compiled [`Partition`] on host threads with exactly the
-//! structure of Fig. 3: a *computation* phase in which every process
+//! structure of Fig. 3 — a *computation* phase in which every process
 //! evaluates its (possibly duplicated) cone into private memory, a
-//! barrier, a *communication* phase, and a second barrier. Functional
+//! synchronization, and a *communication* phase — except that the
+//! double-buffered mailboxes make Fig. 3's second barrier redundant and
+//! the first one local: each worker publishes its epoch and waits only
+//! for the workers it exchanges words with. Functional
 //! results are bit-identical to the reference [`Simulator`]
 //! (`crate::interp`) — the engine is the correctness check for the
 //! partitioner, not a model.
@@ -16,7 +19,7 @@
 //! worker loop, the phase functions, the off-chip flush, and the unsafe
 //! epoch/aliasing discipline all live exactly once, in `crate::exec`;
 //! the compile front-end (per-tile fused bytecode, mailbox fabric,
-//! chip-major worker groups) lives in `crate::engine`. This module
+//! chip-major cost-balanced worker groups) lives in `crate::engine`. This module
 //! only adapts the lane-indexed core API to the classic single-scenario
 //! testbench surface and defines the public timing types.
 //!
@@ -29,13 +32,19 @@
 //! classes the machine distinguishes (Fig. 5): *on-chip* channels get
 //! one double-buffered mailbox per producer→consumer tile pair, while
 //! *off-chip* channels are aggregated into one **wider mailbox per
-//! ordered chip pair**. Tiles fold onto worker threads **chip-major**,
-//! and each worker's off-chip traffic is flushed eagerly per tile so
-//! the modeled link transfer overlaps the remaining tiles' compute
-//! (the hidden portion is reported as [`BspPhases::overlap_s`]).
+//! ordered chip pair**. Tiles fold onto worker threads **chip-major**
+//! in contiguous runs of near-equal modelled cost (neighbouring tiles
+//! share a worker, so most channels never cross threads — see
+//! [`FoldReport`]), and each worker's off-chip traffic is flushed
+//! eagerly per tile so the modeled link transfer overlaps the remaining
+//! tiles' compute (the hidden portion is reported as
+//! [`BspPhases::overlap_s`]).
 //!
-//! The only synchronization in the steady-state loop is the two phase
-//! barriers: no locks are taken and no heap allocation occurs. Per-tile
+//! The only synchronization in the steady-state loop is one
+//! publish-then-wait-on-neighbours per cycle (`engine::EpochSync`): a
+//! store to the worker's own cache line and acquire loads of its
+//! neighbours' — no locks are taken and no heap allocation occurs; a
+//! worker with no neighbours never waits. Per-tile
 //! `Mutex`es exist solely so the testbench API (`poke` / `reg_value` /
 //! `array_value` / `peek_output`) can inspect state between
 //! [`run`](BspSimulator::run) calls, and are locked once per run,
@@ -52,7 +61,7 @@ use parendi_rtl::bits::Bits;
 use parendi_rtl::{Circuit, InputId, RegId};
 
 /// One tile's phase seconds over a timed run (its share of the worker's
-/// loop bodies; barrier waits are per-worker and excluded).
+/// loop bodies; neighbour waits are per-worker and excluded).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TilePhases {
     /// Seconds running the tile's step program (incl. latches and
@@ -71,7 +80,7 @@ pub struct TilePhases {
 ///
 /// The phase columns come from the *single* worker with the largest
 /// compute + off-chip flush time (the straggler — totals can't rank
-/// workers because barrier waits absorb the slack), so
+/// workers because neighbour waits absorb the slack), so
 /// `compute_s + offchip_s + exchange_s` is that worker's real wall
 /// time — phases are never paired across different workers.
 ///
@@ -93,7 +102,8 @@ pub struct BspPhases {
     /// partitions).
     pub offchip_s: f64,
     /// Seconds the straggler worker spent in communication phases:
-    /// record application plus both barrier waits.
+    /// the cycle's single wait on its neighbours plus record
+    /// application (only tiles holding arrays have any).
     pub exchange_s: f64,
     /// Modeled off-chip link seconds hidden under subsequent tile
     /// compute by the eager flush — the time the flush/compute overlap
@@ -143,6 +153,56 @@ impl BspPhases {
         } else {
             0.0
         }
+    }
+}
+
+/// One worker's share of the tile→worker fold (see [`FoldReport`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WorkerFold {
+    /// Tiles folded onto this worker.
+    pub tiles: u32,
+    /// Their modelled host cost per cycle, in op-equivalents (`strided
+    /// ops × lanes + packed ops × packed words` + a fixed term per tile).
+    pub load: u64,
+    /// Single-lane mailbox words per cycle its tiles send to tiles of
+    /// *other* workers.
+    pub cross_words: u64,
+    /// Single-lane mailbox words per cycle its tiles send in total.
+    pub total_words: u64,
+    /// Workers it waits for each cycle (those it shares a buffer with).
+    pub neighbors: u32,
+}
+
+/// How the engine folded tiles onto its worker pool, and what the fold
+/// costs. Empty for an engine without a pool (one thread or one tile),
+/// where nothing is folded.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FoldReport {
+    /// Per worker, in worker order.
+    pub workers: Vec<WorkerFold>,
+    /// The worker each tile runs on.
+    pub tile_worker: Vec<u32>,
+    /// The modelled per-cycle host cost the fold balanced, per tile.
+    pub tile_cost: Vec<u64>,
+}
+
+impl FoldReport {
+    /// Mailbox words per cycle that cross from one worker to another.
+    pub fn cross_worker_words(&self) -> u64 {
+        self.workers.iter().map(|w| w.cross_words).sum()
+    }
+
+    /// All mailbox words per cycle.
+    pub fn total_words(&self) -> u64 {
+        self.workers.iter().map(|w| w.total_words).sum()
+    }
+
+    /// The heaviest worker's modelled load relative to the mean, in
+    /// permille: 1000 is a perfectly balanced fold (0 when empty).
+    pub fn max_load_permille(&self) -> u64 {
+        let loads = self.workers.iter().map(|w| w.load);
+        let (max, total) = (loads.clone().max().unwrap_or(0), loads.sum::<u64>());
+        (max * 1000 * self.workers.len() as u64) / total.max(1)
     }
 }
 
@@ -218,10 +278,17 @@ impl<'c> BspSimulator<'c> {
     }
 
     /// Point-in-time copy of every engine metric (cycles, op mix,
-    /// off-chip bytes/frames, barrier wait outcomes, lane occupancy —
-    /// see [`parendi_telemetry::MetricsSnapshot`]).
+    /// off-chip bytes/frames, neighbour-wait outcomes, the fold gauges,
+    /// lane occupancy — see [`parendi_telemetry::MetricsSnapshot`]).
     pub fn metrics_snapshot(&self) -> parendi_telemetry::MetricsSnapshot {
         self.core.metrics_snapshot()
+    }
+
+    /// How tiles were folded onto the worker pool. The headline numbers
+    /// also ride the metrics snapshot as `fold_cross_worker_words`,
+    /// `fold_max_load_permille` and `sync_neighbors_max`.
+    pub fn fold_report(&self) -> &FoldReport {
+        self.core.fold_report()
     }
 
     /// Per-track span-time summaries of the event trace; empty when

@@ -70,9 +70,11 @@
 //!   [`crate::exec`]) gather/scatter bits where a strided value feeds
 //!   the packed domain or vice versa. Multi-bit nets and non-bitwise
 //!   ops stay lane-strided, exactly as before.
-//! * the lock-free exchange fabric ([`Mailbox`]) and the hybrid
-//!   spin/park, tree-combining [`PhaseBarrier`];
-//! * the chip-major [`worker_groups`] fold of tiles onto host threads;
+//! * the lock-free exchange fabric ([`Mailbox`]) and the one per-cycle
+//!   sync point, [`EpochSync`]: per-worker epoch words a worker
+//!   publishes and its neighbours — only they — spin-then-park on;
+//! * the chip-major, cost-balanced contiguous [`worker_groups`] fold of
+//!   tiles onto host threads;
 //!
 //! # The off-chip transport seam
 //!
@@ -105,150 +107,155 @@ use parendi_rtl::{BinOp, Circuit, InputId, NodeKind, UnOp};
 use parendi_telemetry::Counter;
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 
-/// A counter padded to its own cache line so barrier arrivals in
-/// different tree groups never false-share.
+/// One worker's published epoch and parking place, on a cache line of
+/// its own: a publish is one store to a line only neighbours read.
 #[repr(align(64))]
-struct PadCounter(AtomicUsize);
-
-/// A sense-reversing hybrid barrier for the twice-per-cycle phase
-/// synchronization. BSP cycles are microseconds long, so when every
-/// worker has its own core, parking on a futex (`std::sync::Barrier`)
-/// costs more than an entire cycle — workers spin instead, and the
-/// entire wait is a handful of atomic operations with no lock. When the
-/// host is oversubscribed (more workers than cores), spinning burns the
-/// timeslice of the very thread that could make progress, so waiters
-/// park on a condvar; the leader only touches the condvar's mutex when
-/// `parked` says somebody actually sleeps there. The run hand-off
-/// barriers (`gate`/`done`) stay parking barriers — between runs,
-/// sleeping is exactly right.
-///
-/// Past ~16 workers a single arrival counter becomes a cache-line
-/// hot-spot (every arriver RMWs the same line), so arrivals combine up
-/// a **tree**: workers increment their own group's padded leaf counter
-/// (fan-in [`BARRIER_FANOUT`]), the last arriver of each group
-/// propagates one increment to the root, and the last group releases
-/// everybody by bumping the generation all waiters spin on. At ≤ 16
-/// workers the tree degenerates to one group — the flat fast path.
-pub(crate) struct PhaseBarrier {
-    /// Leaf arrival counters, one per group of up to `BARRIER_FANOUT`
-    /// workers (exactly one group when `n <= TREE_THRESHOLD`).
-    groups: Box<[PadCounter]>,
-    /// Completed-group count (the tree root).
-    root: PadCounter,
-    generation: AtomicUsize,
-    /// Waiters that gave up spinning and (are about to) sleep.
-    parked: AtomicUsize,
+struct EpochSlot {
+    /// Run-relative count of cycles whose epoch-`c+1` mailboxes this
+    /// worker has filled.
+    done: AtomicU64,
+    /// Set while this worker sleeps, or is about to, on `cv`.
+    parked: AtomicBool,
     lock: Mutex<()>,
-    cv: std::sync::Condvar,
-    n: usize,
-    fanout: usize,
+    cv: Condvar,
+}
+
+/// The one per-cycle sync point: a worker publishes "my epoch-`c+1`
+/// mailboxes are filled" and waits only for the workers it **shares a
+/// buffer with** — a static, symmetric set derived once from the
+/// channel endpoints under the chosen fold (a static BSP schedule knows
+/// who talks to whom). Workers that exchange no word never wait for, or
+/// touch a cache line of, each other.
+///
+/// # The epoch invariant
+///
+/// At cycle `c` worker `w` computes (reads mailbox parity `c & 1`,
+/// writes parity `(c+1) & 1`), publishes `done[w] = c+1`, waits until
+/// `done[n] >= c+1` for every neighbour `n`, runs its exchange (reads
+/// parity `(c+1) & 1`, writes only its own array copies) and falls into
+/// cycle `c+1`. For every buffer two workers share:
+///
+/// * *read after write* — a reader of parity `(c+1) & 1` has observed
+///   its producer's `done >= c+1` (Release store, Acquire load);
+/// * *write after read* — `w` overwrites parity `(c+1) & 1` in cycle
+///   `c`; its last readers read it in their cycle `c-1` compute and
+///   cycle `c-2` exchange, both before publishing `done = c`, which `w`
+///   waited for at the end of cycle `c-1` — hence the **symmetric**
+///   neighbour relation;
+/// * *exchange vs next compute* — a slow worker's exchange `c` reads
+///   parity `(c+1) & 1` while a fast neighbour's compute `c+1` writes
+///   parity `c & 1`; nobody writes parity `(c+1) & 1` again before
+///   passing wait `c+1`, which needs the slow worker's `done = c+2`,
+///   published only after its exchange `c`.
+///
+/// So no worker is ever more than one cycle ahead of a neighbour,
+/// non-neighbours drift freely within a run (they share nothing), and
+/// the run-end `done` barrier re-joins everyone before any snapshot or
+/// peek. Epochs are run-relative: the facade [`reset`](Self::reset)s
+/// them before opening the gate (a `restore` may move the cycle
+/// backwards). `tests/epoch_protocol.rs` checks the protocol by
+/// exhaustive interleaving.
+///
+/// Cycles are microseconds long, so a waiter spins before it parks on
+/// its own condvar — at once when the pool is wider than the host,
+/// where spinning burns the timeslice of the thread it waits for — and
+/// a publisher touches a neighbour's condvar only when that
+/// neighbour's `parked` flag is up. The run hand-off barriers
+/// (`gate`/`done`) stay parking barriers.
+pub(crate) struct EpochSync {
+    slots: Box<[EpochSlot]>,
+    /// Per worker: the workers it shares a buffer with (ascending,
+    /// symmetric, never itself).
+    neighbors: Vec<Vec<u32>>,
     spin_limit: u32,
-    /// Non-leader waits resolved inside the spin budget.
+    /// Waits resolved by spinning / by parking (a wait that finds every
+    /// neighbour already there counts as neither).
     spin_waits: Counter,
-    /// Non-leader waits that gave up spinning and parked.
     park_waits: Counter,
 }
 
-/// Workers per barrier tree group once the tree engages.
-const BARRIER_FANOUT: usize = 8;
-/// Largest pool the flat single-counter barrier serves.
-const TREE_THRESHOLD: usize = 16;
-
-impl PhaseBarrier {
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn new(n: usize) -> Self {
-        Self::with_counters(n, Counter::new(), Counter::new())
-    }
-
-    /// Like [`new`](Self::new), but wait outcomes (spin-resolved vs
-    /// parked; the leader is uncounted) are credited to registered
-    /// metrics counters.
-    pub(crate) fn with_counters(n: usize, spin_waits: Counter, park_waits: Counter) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        // `n > cores` means at least one waiter would spin on a core the
-        // last arriver needs: skip straight to parking. `PARENDI_SPIN_LIMIT`
-        // overrides the spin budget either way — raise it on big multicore
-        // boxes where cycles are short, set it to 0 to force parking.
+impl EpochSync {
+    pub(crate) fn new(neighbors: Vec<Vec<u32>>, spin_waits: Counter, park_waits: Counter) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        // `PARENDI_SPIN_LIMIT` overrides the spin budget — raise it on
+        // big multicore boxes where cycles are short, 0 forces parking.
         let spin_limit = std::env::var("PARENDI_SPIN_LIMIT")
             .ok()
             .and_then(|v| v.parse().ok())
-            .unwrap_or(if n <= cores { 1 << 14 } else { 0 });
-        let fanout = if n <= TREE_THRESHOLD {
-            n.max(1)
-        } else {
-            BARRIER_FANOUT
-        };
-        let ngroups = n.max(1).div_ceil(fanout);
-        PhaseBarrier {
-            groups: (0..ngroups)
-                .map(|_| PadCounter(AtomicUsize::new(0)))
-                .collect(),
-            root: PadCounter(AtomicUsize::new(0)),
-            generation: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
+            .unwrap_or(if neighbors.len() <= cores { 1 << 14 } else { 0 });
+        let slot = |_| EpochSlot {
+            done: AtomicU64::new(0),
+            parked: AtomicBool::new(false),
             lock: Mutex::new(()),
-            cv: std::sync::Condvar::new(),
-            n,
-            fanout,
+            cv: Condvar::new(),
+        };
+        EpochSync {
+            slots: (0..neighbors.len()).map(slot).collect(),
+            neighbors,
             spin_limit,
             spin_waits,
             park_waits,
         }
     }
 
-    /// Size of tree group `g` (the last group may be short).
-    fn group_size(&self, g: usize) -> usize {
-        (self.n - g * self.fanout).min(self.fanout)
+    /// The workers `who` waits for each cycle (and that wait for it).
+    pub(crate) fn neighbors(&self, who: usize) -> &[u32] {
+        &self.neighbors[who]
     }
 
-    /// Arrive as worker `who` (`0 <= who < n`) and wait for the rest.
-    pub(crate) fn wait(&self, who: usize) {
-        debug_assert!(who < self.n, "barrier id {who} out of range");
-        let gen = self.generation.load(Ordering::SeqCst);
-        let g = who / self.fanout;
-        // Arrivals combine up the tree: last in the group promotes one
-        // arrival to the root; last group at the root is the leader.
-        let leader = self.groups[g].0.fetch_add(1, Ordering::SeqCst) + 1 == self.group_size(g)
-            && (self.groups.len() == 1
-                || self.root.0.fetch_add(1, Ordering::SeqCst) + 1 == self.groups.len());
-        if leader {
-            // Reset the whole tree *before* releasing the generation:
-            // every other worker is past its increment and spinning (or
-            // parking) on `generation`, so no counter can be touched
-            // until the new generation is visible.
-            for c in self.groups.iter() {
-                c.0.store(0, Ordering::Relaxed);
+    /// Rewinds every epoch to zero. Between runs only (the pool is
+    /// parked at the gate, whose barrier publishes these stores).
+    pub(crate) fn reset(&self) {
+        for s in self.slots.iter() {
+            s.done.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Publishes `done[who] = epoch`, then waits until every neighbour
+    /// has published at least `epoch`.
+    pub(crate) fn publish_and_wait(&self, who: usize, epoch: u64) {
+        let me = &self.slots[who];
+        // SeqCst, not just the Release the spinners' Acquire loads pair
+        // with: the store must also precede the `parked` loads below. A
+        // parking neighbour raises `parked` and then re-checks `done`,
+        // both SeqCst, so either it sees this epoch or we see its flag
+        // — no wakeup is lost.
+        me.done.store(epoch, Ordering::SeqCst);
+        for &n in &self.neighbors[who] {
+            let s = &self.slots[n as usize];
+            if s.parked.load(Ordering::SeqCst) {
+                // The lock orders the notify after the sleeper's
+                // re-check-then-wait.
+                drop(s.lock.lock().expect("epoch slot lock poisoned"));
+                s.cv.notify_one();
             }
-            self.root.0.store(0, Ordering::Relaxed);
-            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
-            // Waiters increment `parked` (SeqCst) *before* re-checking the
-            // generation under the lock, so observing zero here proves no
-            // waiter can sleep through this release.
-            if self.parked.load(Ordering::SeqCst) != 0 {
-                drop(self.lock.lock().unwrap());
-                self.cv.notify_all();
-            }
-        } else {
-            for _ in 0..self.spin_limit {
-                if self.generation.load(Ordering::SeqCst) != gen {
-                    self.spin_waits.inc();
-                    return;
+        }
+        let (mut spins, mut parked) = (0u32, false);
+        for &n in &self.neighbors[who] {
+            let theirs = &self.slots[n as usize].done;
+            while theirs.load(Ordering::Acquire) < epoch {
+                if spins < self.spin_limit {
+                    spins += 1;
+                    std::hint::spin_loop();
+                    continue;
                 }
-                std::hint::spin_loop();
+                parked = true;
+                me.parked.store(true, Ordering::SeqCst);
+                let mut g = me.lock.lock().expect("epoch slot lock poisoned");
+                while theirs.load(Ordering::SeqCst) < epoch {
+                    g = me.cv.wait(g).expect("epoch slot lock poisoned");
+                }
+                drop(g);
+                me.parked.store(false, Ordering::SeqCst);
             }
+        }
+        if parked {
             self.park_waits.inc();
-            self.parked.fetch_add(1, Ordering::SeqCst);
-            let mut g = self.lock.lock().unwrap();
-            while self.generation.load(Ordering::SeqCst) == gen {
-                g = self.cv.wait(g).unwrap();
-            }
-            drop(g);
-            self.parked.fetch_sub(1, Ordering::SeqCst);
+        } else if spins > 0 {
+            self.spin_waits.inc();
         }
     }
 }
@@ -487,12 +494,13 @@ impl Program {
 /// engine the buffer is `lanes` copies of the single-lane layout,
 /// word-interleaved; the epoch discipline is identical.
 ///
-/// Epoch discipline (enforced by the two BSP barriers, see the `bsp`
-/// module docs): during cycle `c` producer threads write only buffer
-/// `(c + 1) & 1` and consumer threads read only buffer `c & 1`
-/// (computation phase) or `(c + 1) & 1` *after* the first barrier
-/// (communication phase). No thread ever touches a word another thread
-/// is writing.
+/// Epoch discipline (enforced by [`EpochSync`], whose type docs state
+/// the invariant): during cycle `c` producer threads write only buffer
+/// `(c + 1) & 1`, and consumer threads read only buffer `c & 1`
+/// (computation phase) or `(c + 1) & 1` *after* observing every
+/// neighbour's `done >= c + 1` (communication phase). Every worker
+/// that touches a mailbox is a neighbour of every other worker that
+/// does, so no thread ever touches a word another thread is writing.
 ///
 /// Aggregate mailboxes can have *several concurrent writers* — one per
 /// worker group flushing into its disjoint channel segments — so the
@@ -504,8 +512,11 @@ pub(crate) struct Mailbox {
     bufs: [UnsafeCell<Box<[u64]>>; 2],
 }
 
-// SAFETY: access is partitioned by the epoch/barrier discipline above;
-// the type itself hands out raw access only through unsafe accessors.
+// SAFETY: the only field is the pair of parity buffers, and the type
+// hands out access to them only through unsafe accessors whose callers
+// uphold the epoch invariant of `EpochSync`: a parity is written by its
+// producers strictly before they publish the epoch its readers wait
+// for, and overwritten only after those readers published the next.
 unsafe impl Sync for Mailbox {}
 
 impl Clone for Mailbox {
@@ -539,8 +550,8 @@ impl Mailbox {
         }
     }
 
-    /// SAFETY: no concurrent writer of `parity` may exist (see epoch
-    /// discipline in the type docs).
+    /// SAFETY: no concurrent writer of `parity` may exist (see the
+    /// epoch discipline in the type docs).
     pub(crate) unsafe fn read(&self, parity: usize) -> &[u64] {
         &*self.bufs[parity].get()
     }
@@ -594,12 +605,23 @@ pub(crate) struct OutputHome {
     pub off: u32,
 }
 
-/// Folds tiles onto `workers` threads chip-major. Each chip's tiles go
-/// to a contiguous group of workers sized proportionally to the chip's
-/// tile count (every chip gets at least one worker); with fewer workers
-/// than chips, whole chips round-robin over workers so a chip's tiles
-/// stay within one worker. Within a group, tiles fold round-robin.
-pub(crate) fn worker_groups(tile_chip: &[u32], workers: usize) -> Vec<Vec<usize>> {
+/// Modelled host cost of a tile beyond its opcodes (loop entry,
+/// latches, sends), in op-equivalents: a tile costs
+/// `ops_strided × lanes + ops_packed × pw + TILE_FIXED`. Fitted on the
+/// 2-core AVX2 reference host, 2 workers, `run()` k cycles/s (median
+/// of 7) on prng64-32 / vta-256: 1 → 812 / 104.3, **8 → 819 / 104.9**,
+/// 16 → 776 / 103.7, 24 → 753 / 99.2, 32 → 736 / 96.4.
+pub(crate) const TILE_FIXED: u64 = 8;
+
+/// Folds tiles onto `workers` threads chip-major and cost-balanced
+/// (`cost[t]` = tile `t`'s modelled host cost per cycle). Each chip's
+/// tiles go to a consecutive group of workers sized by the chip's share
+/// of the cost still to place, and the chip's tile sequence is cut into
+/// contiguous runs of near-equal cost — the partitioner numbers
+/// neighbouring tiles consecutively, so most channels stay inside one
+/// worker. With fewer workers than chips, whole chips go heaviest first
+/// onto the least-loaded worker: a chip's tiles never leave its group.
+pub(crate) fn worker_groups(tile_chip: &[u32], cost: &[u64], workers: usize) -> Vec<Vec<usize>> {
     let mut out = vec![Vec::new(); workers];
     if workers == 0 || tile_chip.is_empty() {
         return out;
@@ -610,27 +632,63 @@ pub(crate) fn worker_groups(tile_chip: &[u32], workers: usize) -> Vec<Vec<usize>
         by_chip[c as usize].push(t);
     }
     by_chip.retain(|v| !v.is_empty());
+    let chip_cost = |tiles: &[usize]| tiles.iter().map(|&t| cost[t]).sum::<u64>();
     if workers < by_chip.len() {
-        for (ci, tiles) in by_chip.iter().enumerate() {
-            out[ci % workers].extend(tiles.iter().copied());
+        by_chip.sort_by_key(|tiles| std::cmp::Reverse(chip_cost(tiles)));
+        let mut load = vec![0u64; workers];
+        for tiles in &by_chip {
+            let w = (0..workers).min_by_key(|&w| load[w]).unwrap();
+            load[w] += chip_cost(tiles);
+            out[w].extend(tiles);
         }
         return out;
     }
     let mut next = 0usize; // first worker of the current group
-    let mut tiles_left = tile_chip.len();
-    let mut chips_left = by_chip.len();
-    for tiles in &by_chip {
-        let workers_left = workers - next;
-        let share = (tiles.len() * workers_left).div_ceil(tiles_left);
-        let share = share.clamp(1, workers_left - (chips_left - 1));
-        for (k, &t) in tiles.iter().enumerate() {
-            out[next + k % share].push(t);
+    let mut cost_left = cost.iter().sum::<u64>();
+    for (ci, tiles) in by_chip.iter().enumerate() {
+        let (total, workers_left) = (chip_cost(tiles), workers - next);
+        // The group size that keeps the heavier of this chip's mean
+        // worker and the mean worker left for the other chips lightest
+        // (the last chip takes every worker left).
+        let widest = (workers_left - (by_chip.len() - 1 - ci)).min(tiles.len());
+        let mean_load = |s: usize| {
+            let rest = (cost_left - total) as f64 / (workers_left - s).max(1) as f64;
+            (total as f64 / s as f64).max(rest)
+        };
+        let share = (1..=widest)
+            .min_by(|&a, &b| mean_load(a).total_cmp(&mean_load(b)))
+            .expect("every chip gets a worker");
+        // Cut at the prefix sums nearest `total × (j+1) / share`
+        // (compared doubled, to round to nearest), always leaving one
+        // tile for each run still to come.
+        let (mut acc, mut i) = (0u64, 0usize);
+        for j in 0..share {
+            let target = 2 * total * (j as u64 + 1) / share as u64;
+            let last = tiles.len() - (share - 1 - j);
+            loop {
+                out[next + j].push(tiles[i]);
+                acc += cost[tiles[i]];
+                i += 1;
+                if i >= last || 2 * acc + cost[tiles[i]] > target {
+                    break;
+                }
+            }
         }
         next += share;
-        tiles_left -= tiles.len();
-        chips_left -= 1;
+        cost_left -= total;
     }
     out
+}
+
+/// One routed producer→consumer tile pair, the mailbox (on-chip) or
+/// aggregate (off-chip) carrying it, and its single-lane words per
+/// cycle — what worker neighbour sets and the fold report derive from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Link {
+    pub mailbox: u32,
+    pub from: u32,
+    pub to: u32,
+    pub words: u32,
 }
 
 /// The complete compile front-end shared by the execution engines:
@@ -687,6 +745,8 @@ pub(crate) struct Compiled {
     /// mailbox order (`channels[onchip_mailboxes + i]` carries
     /// `offchip_pairs[i]`) — the unit the transport backends move.
     pub offchip_pairs: Vec<(u32, u32)>,
+    /// Every routing channel's endpoints, mailbox, and width.
+    pub links: Vec<Link>,
     pub tile_chip: Vec<u32>,
     /// Words per packed 1-bit net block: `ceil(lanes / 64)` in packed
     /// mode, 0 otherwise.
@@ -956,6 +1016,17 @@ impl Compiled {
         );
         mail_words.extend(pair_words.iter().copied());
         mail_packed.extend(pair_packed.iter().copied());
+        let links: Vec<Link> = routing
+            .channels
+            .iter()
+            .enumerate()
+            .map(|(ci, ch)| Link {
+                mailbox: chan_map[ci].0,
+                from: ch.from,
+                to: ch.to,
+                words: chan_strided[ci] + p_fill[ci],
+            })
+            .collect();
         let packed_base: Vec<u32> = mail_words
             .iter()
             .map(|&w| {
@@ -1097,6 +1168,7 @@ impl Compiled {
             mail_words,
             onchip_mailboxes,
             offchip_pairs,
+            links,
             tile_chip: routing.tile_chip,
             pw,
             isa,
@@ -1814,6 +1886,83 @@ pub(crate) fn sext1(a: u64, aw: u32, w: u32) -> u64 {
 mod tests {
     use super::*;
     use parendi_rtl::bits::Bits;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fold's structural contract on random chip shapes, tile
+        /// costs and pool widths: every tile is placed exactly once; a
+        /// worker's tiles are one contiguous run of one chip's tile
+        /// sequence, a chip's workers are consecutive (pool at least as
+        /// wide as the machine) or a chip's tiles all share one worker
+        /// (narrower pool); and a run never outweighs its ideal share
+        /// by more than the heaviest tile of its chip.
+        #[test]
+        fn fold_places_every_tile_once_chip_major(
+            seed in 0u64..1_000_000,
+            chips in 1usize..6,
+            workers in 1usize..12,
+        ) {
+            let mut x = seed * 2 + 1;
+            let mut rnd = |m: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % m
+            };
+            // Interleaved chip ids: a chip's tiles need not be adjacent.
+            let mut tile_chip: Vec<u32> = (0..chips as u32).collect();
+            for _ in 0..rnd(40) {
+                tile_chip.push(rnd(chips as u64) as u32);
+            }
+            let cost: Vec<u64> = tile_chip.iter().map(|_| 1 + rnd(50) * rnd(4)).collect();
+            let workers = workers.min(tile_chip.len());
+            let groups = worker_groups(&tile_chip, &cost, workers);
+            prop_assert_eq!(groups.len(), workers);
+            let mut placed: Vec<usize> = groups.iter().flatten().copied().collect();
+            placed.sort_unstable();
+            prop_assert_eq!(placed, (0..tile_chip.len()).collect::<Vec<_>>());
+
+            let by_chip = |c: u32| -> Vec<usize> {
+                (0..tile_chip.len()).filter(|&t| tile_chip[t] == c).collect()
+            };
+            if workers < chips {
+                for c in 0..chips as u32 {
+                    let owners = groups.iter().filter(|g| g.iter().any(|&t| tile_chip[t] == c));
+                    prop_assert_eq!(owners.count(), 1, "chip {} split across workers", c);
+                }
+            } else {
+                let mut last_chip = None;
+                for g in groups.iter().filter(|g| !g.is_empty()) {
+                    let c = tile_chip[g[0]];
+                    prop_assert!(g.iter().all(|&t| tile_chip[t] == c), "worker spans chips");
+                    prop_assert!(last_chip <= Some(c), "a chip's workers are consecutive");
+                    last_chip = Some(c);
+                    let seq = by_chip(c);
+                    let at = seq.iter().position(|&t| t == g[0]).unwrap();
+                    prop_assert_eq!(&seq[at..at + g.len()], &g[..], "run is not contiguous");
+                }
+                for c in 0..chips as u32 {
+                    let seq = by_chip(c);
+                    let total: u64 = seq.iter().map(|&t| cost[t]).sum();
+                    let heaviest = seq.iter().map(|&t| cost[t]).max().unwrap();
+                    let runs: Vec<u64> = groups
+                        .iter()
+                        .filter(|g| g.first().is_some_and(|&t| tile_chip[t] == c))
+                        .map(|g| g.iter().map(|&t| cost[t]).sum())
+                        .collect();
+                    let ideal = total.div_ceil(runs.len() as u64);
+                    for &r in &runs {
+                        prop_assert!(
+                            r <= ideal + heaviest,
+                            "run {} over ideal {} + heaviest {}", r, ideal, heaviest
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// The scalar fast paths must agree with the slice kernels on every
     /// op, width, and operand pattern — they are the same semantics, so

@@ -103,15 +103,25 @@
 //! epoch-`c+1` aggregate mailbox (legal under the double-buffer epoch
 //! discipline) and the *modeled* link occupancy is scheduled as a
 //! deadline; the worker keeps computing its remaining tiles and only
-//! spins out the residual link time it failed to hide before barrier 1.
-//! The hidden portion is reported as [`BspPhases::overlap_s`].
+//! spins out the residual link time it failed to hide before it
+//! publishes the cycle's epoch. The hidden portion is reported as
+//! [`BspPhases::overlap_s`].
+//!
+//! # One sync point per cycle
+//!
+//! A cycle is `compute · publish · wait-on-neighbours · exchange`: a
+//! worker publishes its epoch and waits only for the workers it shares
+//! a buffer with ([`EpochSync`], whose type docs state the invariant
+//! the `SAFETY:` comments below lean on), and its exchange falls
+//! straight into the next compute. A worker with no neighbours, and the
+//! inline one-thread path, touch no sync state at all.
 
-use crate::bsp::{BspPhases, TilePhases};
+use crate::bsp::{BspPhases, FoldReport, TilePhases, WorkerFold};
 use crate::checkpoint::{auto_checkpoint_from_env, Fingerprint, Snapshot, SnapshotError};
 use crate::checkpoint::{TileShape, TileState};
 use crate::engine::{
-    bin1, eval_op, sext1, un1, worker_groups, ArrayHome, Compiled, Mailbox, OutputHome,
-    PhaseBarrier, PortSend, Program, RecSrc, RegHome, RegSend, Step,
+    bin1, eval_op, sext1, un1, worker_groups, ArrayHome, Compiled, EpochSync, Link, Mailbox,
+    OutputHome, PortSend, Program, RecSrc, RegHome, RegSend, Step, TILE_FIXED,
 };
 use crate::fault::{FaultKind, FaultPlan, TileFault};
 use crate::simd::{vbin, vconcat, vmux, vsext, vslice, vun, vzext, VecIsa};
@@ -2154,9 +2164,11 @@ fn push_reg_send<L: LaneSet>(
     write_parity: usize,
 ) {
     let (local, dst, nw) = (send.local as usize, send.dst as usize, send.nw as usize);
-    // SAFETY: epoch discipline — no reader of `write_parity` exists
-    // during this phase, and this thread exclusively owns the rows
-    // `[dst, dst + nw)` of the mailbox (compile-time layout).
+    // SAFETY: epoch invariant (`EpochSync`) — every reader of
+    // `write_parity` last read it before publishing the epoch this
+    // worker waited for last cycle, and reads it next only after
+    // observing this cycle's publish; this thread exclusively owns the
+    // rows `[dst, dst + nw)` of the mailbox (compile-time layout).
     unsafe {
         let base = channels[send.ch as usize].write_base(write_parity);
         if L::ONE {
@@ -2187,9 +2199,10 @@ fn push_packed_send(
     mask: &[u64],
 ) {
     let s = ps.psrc as usize;
-    // SAFETY: epoch discipline — no reader of `write_parity` exists
-    // during this phase, and this thread exclusively owns the packed
-    // slot `[dst, dst + pw)` (compile-time layout).
+    // SAFETY: epoch invariant (`EpochSync`) — no reader touches
+    // `write_parity` between the epoch this worker last waited for and
+    // the one it publishes after this compute; this thread exclusively
+    // owns the packed slot `[dst, dst + pw)` (compile-time layout).
     unsafe {
         let base = channels[ps.ch as usize].write_base(write_parity);
         for i in 0..pw {
@@ -2221,9 +2234,11 @@ fn stage_port_record<L: LaneSet>(
         let idx = fold_index_at(arena, ps.idx as usize, ps.idx_w as usize, l, nl);
         for &(ch, off) in &ps.dests {
             let off = off as usize;
-            // SAFETY: epoch discipline — no reader of `write_parity`
-            // exists during this phase, and this thread exclusively owns
-            // the record rows at `off` in every lane.
+            // SAFETY: epoch invariant (`EpochSync`) — no reader touches
+            // `write_parity` between the epoch this worker last waited
+            // for and the one it publishes after this compute; this
+            // thread exclusively owns the record rows at `off` in every
+            // lane.
             unsafe {
                 let base = channels[ch as usize].write_base(write_parity);
                 *base.add(off * nl + l) = en;
@@ -2307,7 +2322,11 @@ fn exchange_phase<L: LaneSet>(
                 });
             }
             RecSrc::Mail { ch, off } => {
-                // SAFETY: after barrier 1 nobody writes `record_parity`.
+                // SAFETY: epoch invariant (`EpochSync`) — this worker
+                // has observed the producer's `done >= c + 1`, so the
+                // record is complete, and the producer cannot write
+                // `record_parity` again before this worker publishes
+                // `c + 2`, which it does only after this exchange.
                 let buf = unsafe { channels[ch as usize].read(record_parity) };
                 let off = off as usize;
                 lanes.for_each(|l| {
@@ -2347,6 +2366,70 @@ fn ns_per_spin() -> f64 {
     })
 }
 
+/// Derives, under the fold `groups`, each worker's neighbour set — the
+/// workers it shares a buffer with — and the fold's report. An on-chip
+/// mailbox joins its two endpoint workers; an off-chip aggregate (with
+/// its producer countdown) joins every worker producing into or
+/// consuming from it and, when a `staged` transport lands frames in
+/// it, the pair's receiving worker — with few workers per chip that is
+/// everyone, i.e. a full barrier, as data rather than a second path.
+fn fold_neighbors(
+    groups: &[Vec<usize>],
+    tile_cost: Vec<u64>,
+    links: &[Link],
+    onchip: usize,
+    recv_of: &[Vec<u32>],
+    staged: bool,
+) -> (Vec<Vec<u32>>, FoldReport) {
+    let mut tile_worker = vec![0u32; tile_cost.len()];
+    let mut workers = vec![WorkerFold::default(); groups.len()];
+    for (w, mine) in groups.iter().enumerate() {
+        workers[w].tiles = mine.len() as u32;
+        for &t in mine {
+            tile_worker[t] = w as u32;
+            workers[w].load += tile_cost[t];
+        }
+    }
+    // Per mailbox that workers share: the workers touching it.
+    let mut users: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for l in links {
+        let (a, b) = (tile_worker[l.from as usize], tile_worker[l.to as usize]);
+        workers[a as usize].total_words += l.words as u64;
+        if a != b {
+            workers[a as usize].cross_words += l.words as u64;
+        }
+        if a != b || l.mailbox as usize >= onchip {
+            users.entry(l.mailbox).or_default().extend([a, b]);
+        }
+    }
+    if staged {
+        for (w, pairs) in recv_of.iter().enumerate() {
+            for &p in pairs {
+                users.entry(onchip as u32 + p).or_default().push(w as u32);
+            }
+        }
+    }
+    let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
+    for us in users.values_mut() {
+        us.sort_unstable();
+        us.dedup();
+        for &a in us.iter() {
+            neighbors[a as usize].extend(us.iter().filter(|&&b| b != a));
+        }
+    }
+    for (n, w) in neighbors.iter_mut().zip(&mut workers) {
+        n.sort_unstable();
+        n.dedup();
+        w.neighbors = n.len() as u32;
+    }
+    let fold = FoldReport {
+        workers,
+        tile_worker,
+        tile_cost,
+    };
+    (neighbors, fold)
+}
+
 /// State shared between the engine facades and the worker pool.
 struct CoreShared {
     programs: Vec<Program>,
@@ -2381,7 +2464,9 @@ struct CoreShared {
     /// between runs, read once per run like the retire mask. Empty
     /// inner vecs everywhere when no campaign is active.
     faults: RwLock<Vec<Vec<TileFault>>>,
-    phase_barrier: PhaseBarrier,
+    /// The per-cycle sync point; `None` without a pool — the inline
+    /// path touches no sync state.
+    sync: Option<EpochSync>,
     gate: Barrier,
     done: Barrier,
     cmd_cycles: AtomicU64,
@@ -2511,6 +2596,8 @@ pub(crate) struct EngineCore<'c> {
     pub input_by_name: HashMap<String, InputId>,
     pub output_by_name: HashMap<String, u32>,
     pub onchip_mailboxes: usize,
+    /// How tiles were folded onto the worker pool (empty without one).
+    fold: FoldReport,
     /// The cycle each lane was retired at (`None` while running), so
     /// output peeks on a retired lane replay at its freeze parity.
     retired_at: Vec<Option<u64>>,
@@ -2652,6 +2739,7 @@ impl<'c> EngineCore<'c> {
             pw,
             isa,
             offchip_pairs,
+            links,
         } = compiled;
 
         let tiles: Vec<Mutex<LaneTile>> = programs
@@ -2729,14 +2817,40 @@ impl<'c> EngineCore<'c> {
             })
             .collect();
 
-        let pool_threads = if programs.len() <= 1 {
-            1
-        } else {
-            threads.min(programs.len())
-        };
-        let worker_count = if pool_threads > 1 { pool_threads } else { 0 };
+        // A pool needs two threads and two tiles; otherwise run inline.
+        let pool = threads.min(programs.len());
+        let worker_count = if pool > 1 { pool } else { 0 };
         let tile_count = programs.len();
-        let groups = worker_groups(&tile_chip, worker_count);
+
+        // Telemetry: the registry with its full key set (so every
+        // snapshot carries every metric, credited or not).
+        let metrics = Arc::new(MetricsRegistry::new());
+        let ctrs = EngineCounters {
+            cycles: metrics.counter("cycles_run"),
+            ops_strided: metrics.counter("ops_strided"),
+            ops_packed: metrics.counter("ops_packed"),
+            simd_dispatches: metrics.counter("simd_kernel_dispatches"),
+            lanes_active: metrics.counter("lanes_active"),
+            lanes_retired: metrics.counter("lanes_retired"),
+            trace_events_dropped: metrics.counter("trace_events_dropped"),
+        };
+        ctrs.lanes_active.set(lanes as u64);
+        metrics.counter("offchip_bytes_sent");
+        // Static op mix, and from it — only when there is a pool to
+        // fold onto — each tile's modelled host cost per cycle.
+        let mut ops_per_cycle = (0u64, 0u64);
+        let mut ops_prelude = (0u64, 0u64);
+        let mut tile_cost = Vec::new();
+        for prog in &programs {
+            let (s, p) = prog.code.op_mix();
+            ops_per_cycle = (ops_per_cycle.0 + s, ops_per_cycle.1 + p);
+            if worker_count > 1 {
+                tile_cost.push(s * lanes as u64 + p * pw as u64 + TILE_FIXED);
+            }
+            let (s, p) = prog.prelude.op_mix();
+            ops_prelude = (ops_prelude.0 + s, ops_prelude.1 + p);
+        }
+        let groups = worker_groups(&tile_chip, &tile_cost, worker_count);
 
         // The off-chip fabric: which pairs each tile produces into,
         // and which worker performs each pair's receive (the first
@@ -2774,29 +2888,28 @@ impl<'c> EngineCore<'c> {
             };
             recv_of[w].push(pi as u32);
         }
-        // Telemetry: the registry with its full key set (so every
-        // snapshot carries every metric, credited or not), the trace
-        // sink, and one pre-registered track per worker slot.
-        let metrics = Arc::new(MetricsRegistry::new());
-        let ctrs = EngineCounters {
-            cycles: metrics.counter("cycles_run"),
-            ops_strided: metrics.counter("ops_strided"),
-            ops_packed: metrics.counter("ops_packed"),
-            simd_dispatches: metrics.counter("simd_kernel_dispatches"),
-            lanes_active: metrics.counter("lanes_active"),
-            lanes_retired: metrics.counter("lanes_retired"),
-            trace_events_dropped: metrics.counter("trace_events_dropped"),
+        // Who waits for whom, and the fold's account of itself: neither
+        // is built without a pool.
+        let staged = transport != crate::transport::TransportChoice::InProcess;
+        let spins = metrics.counter("barrier_spin_waits");
+        let parks = metrics.counter("barrier_park_waits");
+        let (sync, fold) = if worker_count > 1 {
+            let (neighbors, fold) = fold_neighbors(
+                &groups,
+                tile_cost,
+                &links,
+                onchip_mailboxes,
+                &recv_of,
+                staged,
+            );
+            (Some(EpochSync::new(neighbors, spins, parks)), fold)
+        } else {
+            (None, FoldReport::default())
         };
-        ctrs.lanes_active.set(lanes as u64);
-        metrics.counter("offchip_bytes_sent");
-        let mut ops_per_cycle = (0u64, 0u64);
-        let mut ops_prelude = (0u64, 0u64);
-        for prog in &programs {
-            let (s, p) = prog.code.op_mix();
-            ops_per_cycle = (ops_per_cycle.0 + s, ops_per_cycle.1 + p);
-            let (s, p) = prog.prelude.op_mix();
-            ops_prelude = (ops_prelude.0 + s, ops_prelude.1 + p);
-        }
+        metrics.set("fold_cross_worker_words", fold.cross_worker_words());
+        metrics.set("fold_max_load_permille", fold.max_load_permille());
+        let widest = fold.workers.iter().map(|w| w.neighbors).max();
+        metrics.set("sync_neighbors_max", widest.unwrap_or(0) as u64);
         let trace = TraceSink::new(&trace_cfg);
         let trace_bufs: Vec<Arc<TraceBuf>> = trace
             .as_ref()
@@ -2836,11 +2949,7 @@ impl<'c> EngineCore<'c> {
             active: RwLock::new((0..lanes as u32).collect()),
             retired: RwLock::new(vec![0u64; pw]),
             faults: RwLock::new(vec![Vec::new(); tile_count]),
-            phase_barrier: PhaseBarrier::with_counters(
-                pool_threads.max(1),
-                metrics.counter("barrier_spin_waits"),
-                metrics.counter("barrier_park_waits"),
-            ),
+            sync,
             gate: Barrier::new(worker_count + 1),
             done: Barrier::new(worker_count + 1),
             cmd_cycles: AtomicU64::new(0),
@@ -2895,6 +3004,7 @@ impl<'c> EngineCore<'c> {
             input_by_name,
             output_by_name,
             onchip_mailboxes,
+            fold,
             retired_at: vec![None; lanes],
             cycle: 0,
             auto_ckpt: auto_checkpoint_from_env(),
@@ -2904,6 +3014,11 @@ impl<'c> EngineCore<'c> {
 
     pub(crate) fn lanes(&self) -> usize {
         self.shared.lanes
+    }
+
+    /// The tile→worker fold and what it costs (see [`FoldReport`]).
+    pub(crate) fn fold_report(&self) -> &FoldReport {
+        &self.fold
     }
 
     /// Whether 1-bit state runs bit-packed across lanes.
@@ -3604,13 +3719,18 @@ impl<'c> EngineCore<'c> {
             self.shared.cmd_cycles.store(cycles, Ordering::SeqCst);
             self.shared.cmd_start.store(self.cycle, Ordering::SeqCst);
             self.shared.cmd_timed.store(timed, Ordering::SeqCst);
+            // Epochs are run-relative (a restore may have moved `cycle`
+            // backwards); the gate publishes the rewind to the pool.
+            if let Some(sync) = &self.shared.sync {
+                sync.reset();
+            }
             self.shared.gate.wait();
             self.shared.done.wait();
             if timed {
                 // Straggler = the worker with the most real work
-                // (compute + flush). Totals can't rank workers: barrier
-                // waits absorb the slack, equalizing every worker's
-                // span up to wakeup jitter.
+                // (compute + flush). Totals can't rank workers:
+                // neighbour waits absorb the slack, equalizing every
+                // connected worker's span up to wakeup jitter.
                 for slot in &self.shared.phase_ns {
                     let (c, o, e, v) = *slot.lock().unwrap();
                     if c + o > acc.comp + acc.off {
@@ -3785,9 +3905,10 @@ fn run_cycles(
 /// **The** shared cycle loop: computes this worker's tiles, eagerly
 /// flushes each tile's off-chip traffic so the modeled link transfer
 /// overlaps the remaining tiles' compute, pays only the residual link
-/// time before barrier 1, then applies the exchange after it. Used
-/// verbatim by pool workers and the inline (no-pool) path — barrier
-/// waits degenerate to no-ops when the pool is one wide.
+/// time, publishes the cycle's epoch and waits for its neighbours —
+/// the loop's single sync point — then applies the exchange and falls
+/// into the next cycle. Used verbatim by pool workers and the inline
+/// (no-pool) path, which has no sync state to touch.
 #[allow(clippy::too_many_arguments)]
 fn cycle_loop<L: LaneSet>(
     shared: &CoreShared,
@@ -3835,6 +3956,16 @@ fn cycle_loop<L: LaneSet>(
     // Injected fault ops, also stable for the whole run; fault-free
     // tiles see an empty slice (one branch per tile per cycle).
     let faults = shared.faults.read().unwrap();
+    // The sync point, for a worker that has anyone to wait for; and the
+    // tiles (positions in `mine`) that hold arrays — the only ones the
+    // exchange has anything to apply to.
+    let sync = shared
+        .sync
+        .as_ref()
+        .filter(|s| !s.neighbors(who).is_empty());
+    let appliers: Vec<usize> = (0..mine.len())
+        .filter(|&k| !shared.programs[mine[k]].applies.is_empty())
+        .collect();
     // Run-invariant prelude: inputs are frozen for the whole run (the
     // facades take `&mut self`), so each tile's input/constant cones
     // and their PACK/UNPACK transposes execute once per run here, not
@@ -3854,8 +3985,10 @@ fn cycle_loop<L: LaneSet>(
             );
         }
     }
+    // Timestamps chain phase to phase and cycle to cycle, so a timed
+    // worker's compute + off-chip + exchange columns sum to its run.
+    let mut mark = instr.then(Instant::now);
     for c in start..start + cycles {
-        let mut mark = instr.then(Instant::now);
         // The modeled link-transfer deadline and the total occupancy
         // scheduled this cycle (for the overlap accounting).
         let mut link_due: Option<Instant> = None;
@@ -3891,8 +4024,8 @@ fn cycle_loop<L: LaneSet>(
             }
             if prog.has_offchip() {
                 // Eager flush: the epoch-c+1 aggregate segments have no
-                // reader until after barrier 1, so copying now is legal
-                // and lets the modeled transfer overlap the remaining
+                // reader until this worker publishes, so copying now is
+                // legal and lets the modeled transfer overlap the remaining
                 // tiles' compute. Staged transports redirect the flush
                 // into their producer-side staging fabric.
                 offchip_flush(prog, guard, flush_boxes, lanes, c, pw, mask);
@@ -3945,7 +4078,7 @@ fn cycle_loop<L: LaneSet>(
             }
         }
         // Staged transports: land this worker's inbound pair frames in
-        // the consumer mailboxes before barrier 1. The wait for remote
+        // the consumer mailboxes before the publish. The wait for remote
         // producers is real measured off-chip latency, so it joins the
         // link residual in the offchip_s column (a no-op in-process).
         if any_pairs {
@@ -3967,19 +4100,32 @@ fn cycle_loop<L: LaneSet>(
                 mark = Some(now);
             }
         }
-        // exchange_s starts *before* barrier 1 so the straggler wait —
+        // exchange_s starts *before* the wait so the straggler wait —
         // the measured `t_sync` — lands in the exchange column,
         // matching the BspPhases contract.
         let exch_start = mark;
-        // Barrier 1: all mailboxes for epoch c+1 are filled.
-        shared.phase_barrier.wait(who);
-        let mut emark = instr.then(Instant::now);
-        if let (Some(tr), Some(s), Some(e)) = (tracer, exch_start, emark) {
-            tr.seg(SpanKind::BarrierWait, NO_TILE, c, s, e);
+        if let Some(sync) = sync {
+            // Epoch c+1's mailboxes are filled: say so, and wait for
+            // the neighbours' (run-relative epochs).
+            sync.publish_and_wait(who, c - start + 1);
+            if let Some(m) = mark {
+                let now = Instant::now();
+                if let Some(tr) = tracer {
+                    tr.seg(SpanKind::BarrierWait, NO_TILE, c, m, now);
+                }
+                mark = Some(now);
+            }
         }
-        for (k, (guard, &pi)) in guards.iter_mut().zip(mine).enumerate() {
-            exchange_phase(&shared.programs[pi], guard, &shared.channels, lanes, c);
-            if let Some(m) = emark {
+        for &k in &appliers {
+            let pi = mine[k];
+            exchange_phase(
+                &shared.programs[pi],
+                &mut guards[k],
+                &shared.channels,
+                lanes,
+                c,
+            );
+            if let Some(m) = mark {
                 let now = Instant::now();
                 if timed {
                     tile_ns[k].2 += now.duration_since(m).as_nanos() as u64;
@@ -3987,19 +4133,11 @@ fn cycle_loop<L: LaneSet>(
                 if let Some(tr) = tracer {
                     tr.seg(SpanKind::Exchange, pi as u32, c, m, now);
                 }
-                emark = Some(now);
+                mark = Some(now);
             }
         }
-        // Barrier 2: every array copy has applied the records.
-        shared.phase_barrier.wait(who);
-        if let Some(t) = exch_start {
-            let now = Instant::now();
-            if timed {
-                acc.exch += now.duration_since(t).as_nanos() as u64;
-            }
-            if let (Some(tr), Some(e)) = (tracer, emark) {
-                tr.seg(SpanKind::BarrierWait, NO_TILE, c, e, now);
-            }
+        if let (true, Some(s), Some(e)) = (timed, exch_start, mark) {
+            acc.exch += e.duration_since(s).as_nanos() as u64;
         }
     }
     if let Some(tr) = tracer {
@@ -4007,12 +4145,12 @@ fn cycle_loop<L: LaneSet>(
     }
 }
 
-/// The persistent worker entry (abort-on-panic: a hung barrier would
-/// deadlock the run).
+/// The persistent worker entry (abort-on-panic: neighbours waiting on
+/// a dead worker's epoch would deadlock the run).
 fn worker_loop(shared: &CoreShared, t: usize, mine: Vec<usize>) {
     let body = std::panic::AssertUnwindSafe(|| worker_body(shared, t, &mine));
     if std::panic::catch_unwind(body).is_err() {
-        eprintln!("engine worker {t} panicked; aborting (a hung barrier would deadlock the run)");
+        eprintln!("engine worker {t} panicked; aborting (its neighbours would wait forever)");
         std::process::abort();
     }
 }
@@ -4082,7 +4220,6 @@ fn worker_body(shared: &CoreShared, t: usize, mine: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::PhaseBarrier;
     use crate::simd::tests::test_isas;
     use parendi_core::{compile, PartitionConfig};
     use parendi_rtl::Builder;
@@ -5135,38 +5272,48 @@ mod tests {
         );
     }
 
-    /// The tree-combining phase barrier must stay correct past the flat
-    /// threshold: 24 workers × many waits, every round observed by every
-    /// worker exactly once (the count window proves no worker ever runs
-    /// a round ahead of a straggler).
+    /// Twenty-four workers, every one a neighbour of every other, on a
+    /// host with far fewer cores (so the park path runs): the epoch
+    /// words must hold them in lockstep. The count window proves that
+    /// after wait `r` all 24 round-`r` increments are in and that no
+    /// worker ever runs more than one round ahead of a straggler.
     #[test]
-    fn tree_barrier_synchronizes_24_workers() {
+    fn epoch_sync_holds_24_all_to_all_workers_in_lockstep() {
         const N: usize = 24;
         const ROUNDS: usize = 500;
-        let barrier = Arc::new(PhaseBarrier::new(N));
+        let all_to_all: Vec<Vec<u32>> = (0..N as u32)
+            .map(|w| (0..N as u32).filter(|&n| n != w).collect())
+            .collect();
+        let (spins, parks) = (Counter::new(), Counter::new());
+        let sync = Arc::new(EpochSync::new(all_to_all, spins.clone(), parks.clone()));
         let count = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..N)
             .map(|who| {
-                let barrier = Arc::clone(&barrier);
+                let sync = Arc::clone(&sync);
                 let count = Arc::clone(&count);
                 std::thread::spawn(move || {
                     for r in 0..ROUNDS {
                         count.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait(who);
+                        sync.publish_and_wait(who, r as u64 + 1);
                         let seen = count.load(Ordering::SeqCst);
                         // All N increments of round r are in; at most
                         // N-1 threads can have raced into round r+1.
                         assert!(
                             seen >= (r + 1) * N && seen <= (r + 1) * N + (N - 1),
-                            "round {r}: count {seen} outside barrier window"
+                            "round {r}: count {seen} outside the lockstep window"
                         );
                     }
                 })
             })
             .collect();
         for h in handles {
-            h.join().expect("barrier worker");
+            h.join().expect("epoch worker");
         }
         assert_eq!(count.load(Ordering::SeqCst), N * ROUNDS);
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        if N > cores && std::env::var_os("PARENDI_SPIN_LIMIT").is_none() {
+            assert_eq!(spins.get(), 0, "an oversubscribed pool never spins");
+            assert!(parks.get() > 0, "an oversubscribed pool must park");
+        }
     }
 }

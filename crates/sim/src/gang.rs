@@ -24,7 +24,7 @@
 //! across lanes — so the engines cannot diverge semantically.
 //! The exchange structure is identical across lanes: mailbox epochs,
 //! the off-chip flush (with the modeled link charged `L×` the words),
-//! worker groups, and the two-barrier cycle all carry over verbatim.
+//! worker groups, and the one-sync-point cycle all carry over verbatim.
 //!
 //! # Per-lane I/O
 //!
@@ -185,10 +185,19 @@ impl<'c> GangSimulator<'c> {
     }
 
     /// Point-in-time copy of every engine metric (cycles, op mix, SIMD
-    /// dispatches, off-chip bytes/frames, barrier wait outcomes, lane
-    /// occupancy — see [`parendi_telemetry::MetricsSnapshot`]).
+    /// dispatches, off-chip bytes/frames, neighbour-wait outcomes, the
+    /// fold gauges, lane occupancy — see
+    /// [`parendi_telemetry::MetricsSnapshot`]).
     pub fn metrics_snapshot(&self) -> parendi_telemetry::MetricsSnapshot {
         self.core.metrics_snapshot()
+    }
+
+    /// How tiles were folded onto the worker pool (per-tile cost is
+    /// lane-scaled here) — see [`BspSimulator::fold_report`].
+    ///
+    /// [`BspSimulator::fold_report`]: crate::bsp::BspSimulator::fold_report
+    pub fn fold_report(&self) -> &crate::bsp::FoldReport {
+        self.core.fold_report()
     }
 
     /// Per-track span-time summaries of the event trace; empty when

@@ -5,7 +5,8 @@
 //! * [`interp::Simulator`] — the single-threaded full-cycle reference
 //!   interpreter (the semantic oracle);
 //! * [`bsp::BspSimulator`] — parallel host execution of a compiled
-//!   partition with the two-barrier BSP structure of Fig. 3;
+//!   partition with the BSP structure of Fig. 3, one neighbour-only
+//!   sync point per cycle;
 //! * [`gang::GangSimulator`] — scenario-parallel execution: `L`
 //!   independent stimulus lanes in lockstep over one compiled
 //!   partition, with lane-strided state, per-lane I/O, and per-lane
@@ -72,7 +73,7 @@ pub mod timing;
 pub mod transport;
 pub mod vcd;
 
-pub use bsp::{BspPhases, BspSimulator};
+pub use bsp::{BspPhases, BspSimulator, FoldReport, WorkerFold};
 pub use checkpoint::{Snapshot, SnapshotError};
 pub use fault::{run_campaign, CampaignReport, FaultKind, FaultOutcome, FaultPlan, FaultSpec};
 pub use gang::{GangSimulator, StimulusSet};

@@ -29,9 +29,10 @@
 //!
 //! The transport inherits the engine's double-buffer contract: during
 //! cycle `c` producers fill parity `(c+1) & 1` and consumers read
-//! parity `c & 1`; barrier 1 separates the two. A staged backend
-//! inserts a publish/receive hop inside the producer half of the
-//! cycle:
+//! parity `c & 1`; a consumer reads parity `(c+1) & 1` only after it
+//! has observed every neighbour's published epoch `c + 1` (the one
+//! per-cycle sync point, `engine::EpochSync`). A staged backend inserts
+//! a publish/receive hop inside the producer half of the cycle:
 //!
 //! 1. each producing tile's [`offchip_flush`](crate::exec) writes its
 //!    send segments into the *staging* copy of the pair aggregate
@@ -40,14 +41,22 @@
 //!    tiles; the worker that flushes the last tile publishes the whole
 //!    parity buffer as one frame (an `AcqRel` countdown makes every
 //!    staging write visible to the publisher);
-//! 3. before barrier 1, each worker calls
+//! 3. before it publishes its epoch, each worker calls
 //!    [`ChipTransport::complete_recvs`] for the pairs whose consumer
 //!    chip it owns, blocking until the cycle's frame arrives, and
 //!    copies it into the consumer-side [`Mailbox`] at the same parity.
 //!
-//! Every publish precedes every receive wait within a worker, and the
-//! lockstep barriers bound in-flight traffic to one frame per pair, so
-//! the hop cannot deadlock. Frames carry the **whole** aggregate
+//! Every worker that touches a pair — its producers (who also share
+//! the countdown), its consumers and, staged, its receiving worker —
+//! is a neighbour of every other (`exec::fold_neighbors`), so none of
+//! them is ever more than one cycle ahead of another. Every publish
+//! precedes every receive wait within a worker, and a producer can
+//! start flushing cycle `c + 1` only after the receiver published epoch
+//! `c + 1`, i.e. after it landed frame `c`: that one-cycle-ahead bound
+//! keeps at most one frame in flight per pair (the next countdown
+//! cannot start before the last one re-armed, a shared-memory parity
+//! buffer is rewritten only after its previous frame was copied out),
+//! so the hop cannot deadlock. Frames carry the **whole** aggregate
 //! buffer: staging boxes are initialized by mirroring the consumer box
 //! (both parities, including the epoch-0 register preload), so words a
 //! cycle does not write retain exactly the bytes the in-process path
@@ -69,7 +78,7 @@
 //! Transport faults are unrecoverable mid-cycle: a malformed or short
 //! TCP frame, a closed peer, or an unmappable shared-memory file
 //! panics the worker, and the engine's worker loop converts any worker
-//! panic into a process abort (a hung barrier would deadlock the run).
+//! panic into a process abort (its neighbours would wait forever).
 //! Frame decoding itself ([`tcp::decode_frame`]) is a total function
 //! returning `Result`, unit-tested on truncated and corrupted input.
 
@@ -247,7 +256,7 @@ pub(crate) trait ChipTransport: Send + Sync {
     /// Blocks until every pair in worker `who`'s receive set has this
     /// `cycle`'s frame, copying each into the consumer mailbox
     /// (`channels[onchip + pair]`) at `parity`. Must be called after
-    /// the worker's own flushes and before barrier 1.
+    /// the worker's own flushes and before it publishes its epoch.
     fn complete_recvs(
         &self,
         who: usize,
@@ -389,8 +398,9 @@ impl Staging {
                     .fetch_add(self.pair_words[p] as u64 * 8, Ordering::Relaxed);
                 self.frames_sent.inc();
                 on_ready(p);
-                // Safe to re-arm before barrier 1: next-cycle flushes
-                // only start after barrier 2.
+                // Safe to re-arm here: the pair's producers are mutual
+                // neighbours, so none starts the next cycle's flushes
+                // before this worker has published this cycle's epoch.
                 self.counts[p].store(self.full[p], Ordering::Release);
             }
         }

@@ -269,8 +269,8 @@ fn spin_budget() -> Option<std::time::Duration> {
 /// Spins until `seq` reaches `want` (Acquire), yielding periodically;
 /// panics once the `PARENDI_TRANSPORT_TIMEOUT_MS` budget (default
 /// 30 s, `0` waits forever) is exhausted — a missing frame means a
-/// peer died, and a worker panic aborts the run rather than hanging
-/// the barrier.
+/// peer died, and a worker panic aborts the run rather than leaving
+/// its neighbours waiting.
 fn spin_until(seq: &AtomicU64, want: u64) {
     let start = std::time::Instant::now();
     let budget = spin_budget();
@@ -361,9 +361,10 @@ impl ChipTransport for SharedMem {
         for &p in &self.recv_of[who] {
             let p = p as usize;
             spin_until(self.map.seq(self.seg_off[p] + parity * 8), cycle + 1);
-            // SAFETY: epoch discipline — nobody reads `parity` of this
-            // consumer box until after barrier 1, and this worker is
-            // the pair's sole receiver.
+            // SAFETY: epoch invariant (`EpochSync`) — the box's consumers
+            // are this worker's neighbours: none reads `parity` before
+            // observing the epoch this worker publishes after these
+            // receives, and this worker is the pair's sole receiver.
             let dst = unsafe { channels[onchip + p].write_base(parity) };
             self.map
                 .read_into(self.buf_off(p, parity), dst, self.staging.words(p));

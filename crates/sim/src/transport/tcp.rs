@@ -13,8 +13,8 @@
 //!
 //! Each pair gets a dedicated writer thread fed through an unbounded
 //! channel, so a publishing worker never blocks on a full socket
-//! buffer — the lockstep barriers bound in-flight traffic to one
-//! frame per pair, but a single frame can exceed the kernel's socket
+//! buffer — the one-cycle-ahead bound between neighbours keeps
+//! in-flight traffic to one frame per pair, but a single frame can exceed the kernel's socket
 //! buffers and a synchronous `write_all` from the worker could then
 //! deadlock against its own pending receives. Receives are plain
 //! blocking reads on the consumer end of the pair's stream.
@@ -23,8 +23,8 @@
 //! typed [`TransportError`]s — a refused connect, a stalled handshake,
 //! or a receive that exceeds the `PARENDI_TRANSPORT_TIMEOUT_MS` budget
 //! (default 30 s, `0` = wait forever) names the failing operation
-//! before the worker panics and the engine aborts (a hung barrier
-//! would otherwise deadlock the run). [`decode_frame`] itself is total
+//! before the worker panics and the engine aborts (its neighbours
+//! would otherwise wait forever). [`decode_frame`] itself is total
 //! and unit-tested on malformed input.
 
 use super::{transport_timeout, ChipTransport, Staging, TransportError, TransportInit};
@@ -358,9 +358,10 @@ impl ChipTransport for Tcp {
                 self.budget_ms,
             )
             .unwrap_or_else(|e| panic!("{e}"));
-            // SAFETY: epoch discipline — nobody reads `parity` of this
-            // consumer box until after barrier 1, and this worker is
-            // the pair's sole receiver.
+            // SAFETY: epoch invariant (`EpochSync`) — the box's consumers
+            // are this worker's neighbours: none reads `parity` before
+            // observing the epoch this worker publishes after these
+            // receives, and this worker is the pair's sole receiver.
             let dst = unsafe { channels[onchip + p].write_base(parity) };
             for (k, chunk) in scratch.chunks_exact(8).enumerate() {
                 // SAFETY: k < scratch words <= words <= the box allocation.
@@ -376,9 +377,9 @@ impl ChipTransport for Tcp {
     }
 
     fn resync(&self, channels: &[Mailbox], onchip: usize, _cycle: u64) {
-        // The sockets are drained between runs (lockstep barriers
-        // bound in-flight traffic to one frame per pair, all consumed
-        // before a run returns), so only the staging mirror needs
+        // The sockets are drained between runs (at most one frame per
+        // pair is ever in flight, and all are consumed before a run
+        // returns), so only the staging mirror needs
         // rebuilding from the restored consumer boxes.
         self.staging.resync(channels, onchip);
     }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::random_circuit;
+use common::{random_circuit, two_islands};
 use parendi_core::{compile, MultiChipStrategy, PartitionConfig, Strategy};
 use parendi_rtl::{Builder, Circuit, RegId};
 use parendi_sim::{BspSimulator, Simulator};
@@ -51,11 +51,12 @@ fn fixed_seeds_all_tile_and_thread_shapes() {
     }
 }
 
-/// Past 16 workers the phase barrier combines arrivals up a tree
-/// (`engine.rs::PhaseBarrier`); a 24-tile partition on 24 threads must
-/// stay bit-exact through it, chunked runs and all.
+/// Pools far wider than the host: 24 tiles on 17 and 24 threads, one
+/// or two tiles per worker, so nearly every channel crosses workers,
+/// neighbour sets are wide, and every wait takes the park path. Must
+/// stay bit-exact through it.
 #[test]
-fn tree_barrier_pool_shapes_are_equivalent() {
+fn wide_pool_shapes_are_equivalent() {
     for seed in [2u64, 31] {
         let c = random_circuit(seed, 26, 120);
         for &threads in &[17usize, 24] {
@@ -118,10 +119,11 @@ fn inputs_propagate_identically() {
 fn long_runs_across_thread_pool_shapes() {
     // The double-buffered mailboxes alternate epochs by cycle parity and
     // the worker pool persists across `run` calls: exercise both over
-    // hundreds of cycles, in several chunks, at every pool width.
+    // hundreds of cycles, in several chunks, at every pool width (3
+    // and 5 cut the 9 tiles into uneven contiguous runs).
     for seed in [3u64, 17, 91] {
         let c = random_circuit(seed, 14, 70);
-        for &threads in &[1usize, 2, 4, 8] {
+        for &threads in &[1usize, 2, 3, 5, 8] {
             let mut cfg = PartitionConfig::with_tiles(9);
             cfg.tiles_per_chip = 5;
             let comp = compile(&c, &cfg).expect("compiles");
@@ -171,7 +173,7 @@ fn multi_chip_worker_groups_are_equivalent() {
                 cfg.multi_chip = mc;
                 let comp = compile(&c, &cfg).expect("compiles");
                 assert!(comp.partition.chips >= 2, "partition must span chips");
-                for &threads in &[1usize, 2, 4, 8] {
+                for &threads in &[1usize, 2, 3, 5, 8] {
                     let mut reference = Simulator::new(&c);
                     let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
                     if comp.plan.offchip_total_bytes > 0 {
@@ -211,6 +213,38 @@ fn multi_chip_worker_groups_are_equivalent() {
     }
 }
 
+/// Two islands with no signal between them, one worker each: the
+/// workers share no buffer, so they are not neighbours and the run must
+/// finish bit-exact without a single wait — resolved or parked.
+#[test]
+fn disconnected_halves_never_wait() {
+    let c = two_islands();
+    let comp = compile(&c, &PartitionConfig::with_tiles(2)).expect("compiles");
+    assert_eq!(comp.partition.tiles_used(), 2);
+    let mut reference = Simulator::new(&c);
+    let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    let fold = bsp.fold_report();
+    assert_eq!(fold.total_words(), 0, "the islands must not exchange words");
+    assert!(fold
+        .workers
+        .iter()
+        .all(|w| w.neighbors == 0 && w.tiles == 1));
+    for chunk in [1u64, 2, 300] {
+        reference.step_n(chunk);
+        bsp.run(chunk);
+    }
+    for i in 0..c.regs.len() {
+        assert_eq!(
+            bsp.reg_value(RegId(i as u32)),
+            reference.reg_value(RegId(i as u32))
+        );
+    }
+    let m = bsp.metrics_snapshot();
+    let waits = m.get("barrier_spin_waits").unwrap() + m.get("barrier_park_waits").unwrap();
+    assert_eq!(waits, 0, "workers without neighbours must never wait");
+    assert_eq!(m.get("sync_neighbors_max"), Some(0));
+}
+
 /// Single-chip partitions have no off-chip fabric: no aggregate
 /// mailboxes, and a zero off-chip column in the timed split.
 #[test]
@@ -246,15 +280,15 @@ proptest! {
     }
 
     /// Property: point-to-point engine equals the reference over >=256
-    /// cycles for random circuits x tile counts x 1/2/4/8 threads.
+    /// cycles for random circuits x tile counts x 1/2/3/5/8 threads.
     #[test]
     fn bsp_matches_reference_long(
         seed in 0u64..10_000,
         tiles in 1u32..14,
-        threads_pick in 0usize..4,
+        threads_pick in 0usize..5,
     ) {
         let c = random_circuit(seed, 10, 50);
-        let threads = [1usize, 2, 4, 8][threads_pick];
+        let threads = [1usize, 2, 3, 5, 8][threads_pick];
         check_equivalence(&c, tiles, threads, 256);
     }
 }

@@ -22,6 +22,27 @@ pub fn random_circuit_io(seed: u64, regs: usize, ops: usize, inputs: usize) -> C
     random_circuit_inner(seed, regs, ops, inputs)
 }
 
+/// Two islands with no signal between them: each a small nonlinear
+/// register soup closed over its own state. Compiled onto two tiles
+/// and two workers, the workers share no buffer.
+#[allow(dead_code)]
+pub fn two_islands() -> Circuit {
+    let mut b = Builder::new("islands");
+    for half in 0..2u64 {
+        let regs: Vec<_> = (0..5u64)
+            .map(|i| b.reg(format!("h{half}r{i}"), 32, 0x9e37 * (half + 1) + i))
+            .collect();
+        for (i, r) in regs.iter().enumerate() {
+            let (x, y) = (regs[(i + 1) % 5].q(), regs[(i + 3) % 5].q());
+            let m = b.mul(x, y);
+            let a = b.add(r.q(), m);
+            let n = b.xor(a, x);
+            b.connect(*r, n);
+        }
+    }
+    b.finish().expect("islands validate")
+}
+
 fn random_circuit_inner(seed: u64, regs: usize, ops: usize, inputs: usize) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = Builder::new(format!("rand{seed}"));

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::random_circuit_io;
+use common::{random_circuit_io, two_islands};
 use parendi_core::{compile, Compilation, MultiChipStrategy, PartitionConfig};
 use parendi_rtl::{Circuit, RegId};
 use parendi_sim::{BspSimulator, GangSimulator, TraceConfig, TransportChoice};
@@ -163,6 +163,19 @@ fn golden_two_worker_trace_is_wellformed_chrome_json() {
             "expected at least one {kind} span"
         );
     }
+    // One sync point per cycle: each worker (the two share the chip-pair
+    // aggregates, so they are neighbours) waits exactly once per cycle.
+    for (tid, _) in tracks
+        .iter()
+        .filter(|(_, n)| n.starts_with("engine-worker-"))
+    {
+        for cycle in 0..4u64 {
+            let waits = spans
+                .iter()
+                .filter(|s| s.tid == *tid && s.cycle == cycle && s.name == "barrier_wait");
+            assert_eq!(waits.count(), 1, "tid {tid} cycle {cycle}: wait spans");
+        }
+    }
     // Tile-level tracing on a 2-chip run must attribute off-chip work.
     assert!(
         spans.iter().any(|s| s.name == "offchip_flush"),
@@ -175,6 +188,33 @@ fn golden_two_worker_trace_is_wellformed_chrome_json() {
     let summary_events: usize = summaries.iter().map(|s| s.events).sum();
     assert_eq!(summary_events, spans.len());
     assert!(summaries.iter().all(|s| s.dropped == 0), "nothing dropped");
+}
+
+/// Workers that share no buffer have nobody to wait for: their tracks
+/// carry compute spans and not one `barrier_wait`.
+#[test]
+fn workers_without_neighbours_record_no_wait_spans() {
+    let c = two_islands();
+    let comp = compile(&c, &PartitionConfig::with_tiles(2)).expect("compiles");
+    let mut sim = BspSimulator::with_trace(
+        &c,
+        &comp.partition,
+        2,
+        TransportChoice::InProcess,
+        TraceConfig::tile(),
+    );
+    sim.run(4);
+    let (tracks, spans) = parse_chrome(&sim.trace_json().expect("tracing is on"));
+    assert_eq!(tracks.len(), 2, "one track per worker: {tracks:?}");
+    for (tid, name) in &tracks {
+        let mine = || spans.iter().filter(|s| s.tid == *tid);
+        assert_eq!(
+            mine().filter(|s| s.name == "compute").count(),
+            4,
+            "{name}: one tile, four cycles"
+        );
+        assert!(mine().all(|s| s.name != "barrier_wait"), "{name} waited");
+    }
 }
 
 /// Phase-level tracing merges adjacent same-kind segments: the run

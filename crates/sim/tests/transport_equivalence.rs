@@ -21,10 +21,16 @@ const BACKENDS: [TransportChoice; 3] = [
 /// Runs the reference and every transport backend over the same
 /// stimulus and asserts identical registers, arrays, and outputs.
 /// Returns the per-backend byte columns for comparability checks.
-fn check_backends(seed: u64, chips: u32, mc: MultiChipStrategy, threads: usize) -> Vec<u64> {
+fn check_backends(
+    seed: u64,
+    chips: u32,
+    per_chip: u32,
+    mc: MultiChipStrategy,
+    threads: usize,
+) -> Vec<u64> {
     let c = random_circuit_io(seed, 12, 60, 3);
-    let mut cfg = PartitionConfig::with_tiles(chips * 2);
-    cfg.tiles_per_chip = 2;
+    let mut cfg = PartitionConfig::with_tiles(chips * per_chip);
+    cfg.tiles_per_chip = per_chip;
     cfg.multi_chip = mc;
     let comp = compile(&c, &cfg).expect("compiles");
     assert_eq!(
@@ -89,7 +95,7 @@ fn all_backends_match_the_reference_across_chip_counts() {
     for seed in [11u64, 47] {
         for mc in [MultiChipStrategy::Pre, MultiChipStrategy::Post] {
             for &chips in &[1u32, 2, 4] {
-                let bytes = check_backends(seed, chips, mc, 3);
+                let bytes = check_backends(seed, chips, 2, mc, 3);
                 // The byte column is defined identically for every
                 // backend (whole pair aggregates per completed cycle),
                 // so the measured volumes must agree exactly.
@@ -103,6 +109,25 @@ fn all_backends_match_the_reference_across_chip_counts() {
                     assert!(bytes[0] > 0, "multi-chip runs must move bytes");
                 }
             }
+        }
+    }
+}
+
+/// More workers than chips (2 chips x 4 tiles on 4 workers): a chip's
+/// tiles spread over two workers, so the worker that lands a pair's
+/// frames in the consumer mailbox is not, in general, the worker whose
+/// tile reads them, and a pair has producers on several workers — the
+/// edges the staged-transport neighbour rule exists for.
+#[test]
+fn staged_backends_match_with_more_workers_than_chips() {
+    for seed in [11u64, 47, 5] {
+        for mc in [MultiChipStrategy::Pre, MultiChipStrategy::Post] {
+            let bytes = check_backends(seed, 2, 4, mc, 4);
+            assert!(bytes[0] > 0, "seed {seed} {mc:?}: no off-chip traffic");
+            assert!(
+                bytes.iter().all(|&b| b == bytes[0]),
+                "seed {seed} {mc:?}: byte columns diverged: {bytes:?}"
+            );
         }
     }
 }

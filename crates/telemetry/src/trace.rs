@@ -144,7 +144,8 @@ pub enum SpanKind {
     TransportSend = 3,
     /// Blocking until the cycle's inbound frames arrived.
     TransportRecv = 4,
-    /// Waiting on the phase barrier (either of the two per cycle).
+    /// Waiting, at the cycle's one sync point, for the workers this
+    /// worker shares a mailbox with.
     BarrierWait = 5,
     /// A tile program's on-chip exchange phase.
     Exchange = 6,
