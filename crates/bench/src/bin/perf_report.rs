@@ -156,8 +156,11 @@ fn main() {
     // decisions are made from).
     let stats = sim.code_stats();
     println!(
-        "\nTop opcodes ({} static ops over {} tiles):",
-        stats.total_ops, stats.tiles
+        "\nTop opcodes ({} static ops in {} dispatches over {} tiles, mean run {:.1}):",
+        stats.total_ops,
+        stats.dispatches,
+        stats.tiles,
+        stats.mean_run_length()
     );
     for o in stats.top_opcodes(10) {
         println!(
@@ -168,7 +171,7 @@ fn main() {
             o.count as f64 * 100.0 / stats.total_ops.max(1) as f64
         );
     }
-    println!("Top adjacent pairs (fusion candidates):");
+    println!("Top adjacent dispatch pairs (fusion candidates):");
     for p in stats.top_pairs(5) {
         println!("  {:<10} -> {:<10} x{}", p.first, p.second, p.count);
     }

@@ -41,13 +41,19 @@
 //! snapshots are rejected with [`SnapshotError::BadVersion`] rather
 //! than misread. There is deliberately no migration machinery — a
 //! snapshot is a crash-recovery artifact, not an archival format.
+//!
+//! Version 2: a one-lane engine allocates its arena slots in schedule
+//! order (see the *Schedule* section of [`crate::exec`]), so a version-1
+//! one-lane arena — constants included — sits at different offsets,
+//! while the fingerprint compares only buffer *sizes* and would have
+//! let it through.
 
 use parendi_core::key::fnv1a;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Current snapshot format version (see the module docs).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// File magic ("PDCK").
 const MAGIC: [u8; 4] = *b"PDCK";
@@ -571,13 +577,13 @@ mod tests {
 
     /// The `PDCK` bytes are a stable format: the sample's length and
     /// FNV-1a checksum (the shared `parendi_core::key::fnv1a`) are
-    /// pinned to the values the first format-1 build wrote.
+    /// pinned to the values the first format-2 build wrote.
     #[test]
     fn golden_checksum_is_pinned() {
         let bytes = sample().to_bytes();
         assert_eq!(bytes.len(), 669);
         let sum = u64::from_le_bytes(bytes[661..].try_into().expect("8 bytes"));
-        assert_eq!(sum, 0xa6bd_2391_db1e_bff2);
+        assert_eq!(sum, 0x076e_e25e_13cd_961f);
     }
 
     /// Each corruption mode reports its own typed error: bad magic,
@@ -593,11 +599,16 @@ mod tests {
             Err(SnapshotError::BadMagic)
         ));
 
+        // A version-1 header: its one-lane arenas use the node-id slot
+        // order, so it is refused outright, never misread.
         let mut bad = bytes.clone();
-        bad[4..8].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
+        bad[4..8].copy_from_slice(&1u32.to_le_bytes());
         assert!(matches!(
             Snapshot::from_bytes(&bad),
-            Err(SnapshotError::BadVersion { found, .. }) if found == SNAPSHOT_VERSION + 1
+            Err(SnapshotError::BadVersion {
+                found: 1,
+                expected: SNAPSHOT_VERSION
+            })
         ));
 
         for cut in [bytes.len() - 1, bytes.len() / 2, 20, 5] {

@@ -14,8 +14,10 @@
 //!   as the cold multi-word side table: `build_program` lowers every
 //!   step program into the flat fused bytecode of [`crate::exec::Code`]
 //!   (struct-of-arrays opcode/operand words, dedicated single-word
-//!   opcodes, peephole-coalesced block copies, and the deeper
-//!   adjacent-pair fusion of shift-then-mask and 2-to-1 mux chains)
+//!   opcodes, peephole-coalesced block copies, and — for a gang — the
+//!   deeper adjacent-pair fusion of shift-then-mask and 2-to-1 mux
+//!   chains, or — at one lane — nodes [`schedule`]d by opcode class so
+//!   same-opcode neighbours collapse into single run instructions)
 //!   that the one hot loop executes. Set `PARENDI_CODE_STATS=1` to dump
 //!   the opcode/width and adjacent-pair histograms of a compile — the
 //!   data fusion and SIMD-coverage decisions are made from;
@@ -610,7 +612,11 @@ pub(crate) struct OutputHome {
 /// `ops_strided × lanes + ops_packed × pw + TILE_FIXED`. Fitted on the
 /// 2-core AVX2 reference host, 2 workers, `run()` k cycles/s (median
 /// of 7) on prng64-32 / vta-256: 1 → 812 / 104.3, **8 → 819 / 104.9**,
-/// 16 → 776 / 103.7, 24 → 753 / 99.2, 32 → 736 / 96.4.
+/// 16 → 776 / 103.7, 24 → 753 / 99.2, 32 → 736 / 96.4. Refitted once
+/// one-lane operations ride in runs (an operation is cheaper, a tile's
+/// fixed cost is not): 1 → 775 / 105.1, 4 → 837 / 102.6,
+/// **8 → 857 / 105.3**, 16 → 854 / 104.2, 24 → 840 / 102.0,
+/// 32 → 822 / 104.3 — the optimum did not move.
 pub(crate) const TILE_FIXED: u64 = 8;
 
 /// Folds tiles onto `workers` threads chip-major and cost-balanced
@@ -1113,11 +1119,14 @@ impl Compiled {
             pw,
             packed,
         };
+        // Node id → arena offset scratch, shared by every tile's build:
+        // `UNSET` outside the tile being built.
+        let mut node_off = vec![UNSET; circuit.nodes.len()];
         let programs: Vec<Program> = partition
             .processes
             .iter()
             .enumerate()
-            .map(|(pi, p)| build_program(&fe, pi as u32, p))
+            .map(|(pi, p)| build_program(&fe, &mut node_off, pi as u32, p))
             .collect();
 
         // Output homes: the owning tile (pinned by the routing layer)
@@ -1182,11 +1191,22 @@ impl Compiled {
 fn dump_code_stats(name: &str, programs: &[Program], lanes: usize, packed: bool, isa: VecIsa) {
     let stats = collect_code_stats(programs);
     eprintln!(
-        "[code-stats] {name}: tiles={} ops={} lanes={lanes} packed={packed} simd={}",
+        "[code-stats] {name}: tiles={} ops={} dispatches={} mean_run={:.1} lanes={lanes} \
+         packed={packed} simd={}",
         stats.tiles,
         stats.total_ops,
+        stats.dispatches,
+        stats.mean_run_length(),
         isa.name(),
     );
+    // Run lengths, bucketed by the next power of two.
+    let mut buckets: BTreeMap<u32, u64> = BTreeMap::new();
+    for &(len, runs) in &stats.run_lengths {
+        *buckets.entry(len.next_power_of_two()).or_insert(0) += runs;
+    }
+    for (upto, runs) in buckets {
+        eprintln!("[code-stats]   runs len<={upto:<5} x{runs}");
+    }
     for o in &stats.opcodes {
         eprintln!(
             "[code-stats]   {:<10} w={:<3} x{}",
@@ -1207,15 +1227,21 @@ fn dump_code_stats(name: &str, programs: &[Program], lanes: usize, packed: bool,
 pub(crate) fn collect_code_stats(programs: &[Program]) -> parendi_telemetry::CodeStats {
     let mut hist: BTreeMap<(&'static str, u32), u64> = BTreeMap::new();
     let mut pairs: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();
-    let mut ops = 0u64;
+    let mut runs: BTreeMap<u32, u64> = BTreeMap::new();
+    let (mut ops, mut dispatches) = (0u64, 0u64);
     for prog in programs {
         prog.code.histogram(&mut hist);
         prog.code.pair_histogram(&mut pairs);
-        ops += prog.code.ops.len() as u64;
+        prog.code.run_lengths(&mut runs);
+        let (strided, packed) = prog.code.op_mix();
+        ops += strided + packed;
+        dispatches += prog.code.ops.len() as u64;
     }
     parendi_telemetry::CodeStats::from_histograms(
         programs.len(),
         ops,
+        dispatches,
+        runs,
         hist.into_iter().map(|((n, w), c)| ((n.to_string(), w), c)),
         pairs
             .into_iter()
@@ -1244,13 +1270,155 @@ struct FrontEnd<'a> {
     packed: bool,
 }
 
+/// "No arena offset" in the node-id → offset scratch of
+/// [`build_program`]: every entry outside the tile being built, and
+/// inside it every node not yet visited.
+const UNSET: u32 = u32::MAX;
+
+/// The arena offset [`build_program`] assigned to node `id` of the tile
+/// it is building.
+fn assigned(node_off: &[u32], id: parendi_rtl::NodeId) -> u32 {
+    let off = node_off[id.index()];
+    assert!(off != UNSET, "node read before its slot was assigned");
+    off
+}
+
+/// Orders a tile's nodes for the run-forming one-lane lowering (the
+/// *Schedule* section of [`crate::exec`] argues legality): constants,
+/// then the register/input/mailbox reads sorted by `source_key` — kind,
+/// channel, source offset, so contiguous reads meet in the block-copy
+/// peephole — then a list schedule that keeps emitting ready nodes of
+/// the current opcode class and, when none is left, switches to the
+/// class with the most ready nodes (ties: lowest opcode). Every table
+/// is a dense `Vec` indexed by a node's rank in `nodes` (`rank_of`
+/// borrows the caller's per-circuit-node scratch for the node-id →
+/// rank map and hands it back all [`UNSET`]), the ready sets are
+/// intrusive per-class stacks, and the pass is O(nodes + edges) beyond
+/// sorting the reads — nothing iterates a hash table, so the order is
+/// a pure function of the circuit.
+fn schedule(
+    circuit: &Circuit,
+    nodes: &parendi_graph::HybridSet,
+    rank_of: &mut [u32],
+    source_key: impl Fn(&NodeKind) -> u64,
+) -> Vec<u32> {
+    use crate::exec::{bin1_opc, op, un1_opc};
+    let ids: Vec<u32> = nodes.iter().collect();
+    let n = ids.len();
+    // Per node: the opcode class it lowers to, whether it is wider than
+    // a word, and its operands' ranks (CSR) — operands have lower ids,
+    // so their rows are filled before any user reads them.
+    let mut class = vec![0u8; n];
+    let mut big = vec![false; n];
+    let mut pred_at = Vec::with_capacity(n + 1);
+    let mut preds: Vec<u32> = Vec::with_capacity(2 * n);
+    let mut succ_at = vec![0u32; n + 1];
+    let mut consts = Vec::new();
+    let mut reads: Vec<(u64, u32)> = Vec::new();
+    for (r, &nid) in ids.iter().enumerate() {
+        let node = &circuit.nodes[nid as usize];
+        rank_of[nid as usize] = r as u32;
+        pred_at.push(preds.len() as u32);
+        big[r] = node.width > 64;
+        let mut wide = big[r];
+        node.for_each_operand(|o| {
+            let q = rank_of[o.0 as usize];
+            debug_assert_eq!(ids.get(q as usize), Some(&o.0), "a tile holds whole cones");
+            wide |= big[q as usize];
+            succ_at[q as usize + 1] += 1;
+            preds.push(q);
+        });
+        class[r] = match &node.kind {
+            NodeKind::Const(_) => {
+                consts.push(r as u32);
+                continue;
+            }
+            k @ (NodeKind::Input(_) | NodeKind::RegRead(_)) => {
+                reads.push((source_key(k), r as u32));
+                continue;
+            }
+            NodeKind::ArrayRead { .. } => op::ARRAY_READ,
+            _ if wide => op::WIDE,
+            NodeKind::Un(o, _) => un1_opc(*o),
+            NodeKind::Bin(o, ..) => bin1_opc(*o),
+            NodeKind::Mux { .. } => op::MUX1,
+            NodeKind::Slice { .. } => op::SLICE1,
+            NodeKind::Zext(_) => op::ZEXT1,
+            NodeKind::Sext(_) => op::SEXT1,
+            NodeKind::Concat { .. } => op::CONCAT1,
+        };
+    }
+    pred_at.push(preds.len() as u32);
+    for &nid in &ids {
+        rank_of[nid as usize] = UNSET;
+    }
+    // Successor lists: the same edges, counting-sorted by producer.
+    for r in 0..n {
+        succ_at[r + 1] += succ_at[r];
+    }
+    let mut fill = succ_at.clone();
+    let mut succs = vec![0u32; preds.len()];
+    for r in 0..n {
+        for &q in &preds[pred_at[r] as usize..pred_at[r + 1] as usize] {
+            succs[fill[q as usize] as usize] = r as u32;
+            fill[q as usize] += 1;
+        }
+    }
+    // Ready nodes: one stack per class, threaded through `next` and
+    // ended by `UNSET`.
+    let mut waiting: Vec<u32> = pred_at.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut head = [UNSET; op::WIDE as usize + 1];
+    let mut ready = [0u32; op::WIDE as usize + 1];
+    let mut next = vec![UNSET; n];
+    reads.sort_unstable();
+    let mut first = consts.into_iter().chain(reads.into_iter().map(|(_, r)| r));
+    let mut order = Vec::with_capacity(n);
+    let mut cur = 0usize;
+    while order.len() < n {
+        let r = first.next().unwrap_or_else(|| {
+            if head[cur] == UNSET {
+                // `max_by_key` keeps the last maximum: scan downwards.
+                cur = (0..ready.len()).rev().max_by_key(|&c| ready[c]).unwrap();
+                assert!(ready[cur] > 0, "combinational cycle inside a tile");
+            }
+            let r = head[cur];
+            head[cur] = next[r as usize];
+            ready[cur] -= 1;
+            r
+        }) as usize;
+        order.push(ids[r]);
+        for &s in &succs[succ_at[r] as usize..succ_at[r + 1] as usize] {
+            let s = s as usize;
+            waiting[s] -= 1;
+            if waiting[s] == 0 {
+                let c = class[s] as usize;
+                next[s] = head[c];
+                head[c] = s as u32;
+                ready[c] += 1;
+            }
+        }
+    }
+    order
+}
+
 /// Compiles one process into a self-contained [`Program`].
 ///
 /// `fe.layout` translates a routing hop into the engine's mailbox slot
 /// (strided or packed); `fe.port_route_of` and `fe.array_route_range`
 /// are the compile-time route indexes built once in [`Compiled::new`]
 /// so this runs in O(program size), not O(tiles × ports²).
-fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Program {
+///
+/// Arena slots are bump-allocated in the order the nodes are visited:
+/// node-id order for a gang, [`schedule`]'s opcode-class order — whose
+/// same-opcode neighbours the lowering then collapses into runs — at
+/// one lane (the *Schedule* section of [`crate::exec`] has the
+/// measurements behind that rule).
+fn build_program(
+    fe: &FrontEnd<'_>,
+    node_off: &mut [u32],
+    pi: u32,
+    p: &parendi_core::Process,
+) -> Program {
     let FrontEnd {
         circuit,
         partition,
@@ -1283,18 +1451,36 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
             .expect("tile holds read/written arrays") as u32
     };
 
-    let mut local: HashMap<u32, u32> = HashMap::new();
+    let runs = lanes == 1;
+    let order: Vec<u32> = if runs {
+        schedule(circuit, &p.nodes, node_off, |kind| match *kind {
+            NodeKind::Input(i) => fe.input_off[i.index()] as u64,
+            NodeKind::RegRead(r) if reg_home[r.index()].tile == pi => {
+                1 << 62 | reg_home[r.index()].off as u64
+            }
+            NodeKind::RegRead(r) => match mail_slot[&r.0] {
+                MailSlot::Strided { ch, off } | MailSlot::Packed { ch, abs: off } => {
+                    2 << 62 | (ch as u64) << 32 | off as u64
+                }
+            },
+            _ => unreachable!("only reads are keyed"),
+        })
+    } else {
+        p.nodes.iter().collect()
+    };
+    debug_assert_eq!(order.len(), p.nodes.len());
+
     let mut words = 0u32;
     let mut steps = Vec::new();
     let mut const_init = Vec::new();
-    for nid in p.nodes.iter() {
+    for &nid in &order {
         let node = &circuit.nodes[nid as usize];
         let w = node.width;
         let nw = words_for(w) as u32;
         let dst = words;
-        local.insert(nid, dst);
+        node_off[nid as usize] = dst;
         words += nw;
-        let lo = |id: parendi_rtl::NodeId| local[&id.0];
+        let lo = |id: parendi_rtl::NodeId| assigned(node_off, id);
         let opw = |id: parendi_rtl::NodeId| words_for(circuit.width(id)) as u32;
         match &node.kind {
             NodeKind::Const(b) => const_init.push((dst, b.words().to_vec())),
@@ -1434,11 +1620,11 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
                 debug_assert_eq!(home.tile, pi);
                 let nw = words_for(reg.width) as u32;
                 if home.packed {
-                    raw_packed_commits.push((local[&next.0], reg_packed_abs(home.off)));
-                    need_packed.push(local[&next.0]);
+                    raw_packed_commits.push((assigned(node_off, next), reg_packed_abs(home.off)));
+                    need_packed.push(assigned(node_off, next));
                 } else {
                     commits.push(RegCommit {
-                        local: local[&next.0],
+                        local: assigned(node_off, next),
                         dst: home.off,
                         nw,
                     });
@@ -1447,7 +1633,7 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
                     match layout.slot_of(hop) {
                         MailSlot::Strided { ch, off } => {
                             let send = RegSend {
-                                local: local[&next.0],
+                                local: assigned(node_off, next),
                                 ch,
                                 dst: off,
                                 nw,
@@ -1459,8 +1645,8 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
                             }
                         }
                         MailSlot::Packed { ch, abs } => {
-                            need_packed.push(local[&next.0]);
-                            let raw = (local[&next.0], ch, abs);
+                            need_packed.push(assigned(node_off, next));
+                            let raw = (assigned(node_off, next), ch, abs);
                             if routing.hop_crosses_chip(hop) {
                                 raw_offchip_packed_sends.push(raw);
                             } else {
@@ -1478,10 +1664,10 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
                 let route = &routing.port_routes[ri as usize];
                 let (off_dests, on_dests): (Vec<_>, Vec<_>) =
                     route.hops.iter().partition(|h| routing.hop_crosses_chip(h));
-                let en = local[&wp.enable.0];
-                let idx = local[&wp.index.0];
+                let en = assigned(node_off, wp.enable);
+                let idx = assigned(node_off, wp.index);
                 let idx_w = words_for(circuit.width(wp.index)) as u32;
-                let data = local[&wp.data.0];
+                let data = assigned(node_off, wp.data);
                 // Port records always live strided; their 1-bit inputs
                 // must be materialized out of the packed domain.
                 need_strided.extend([en, idx, data]);
@@ -1520,8 +1706,8 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
             parendi_graph::fiber::SinkKind::Output(oi) => {
                 let node = circuit.outputs[oi as usize].node;
                 // Output peeks read the strided arena slot.
-                need_strided.push(local[&node.0]);
-                outputs.push((oi, local[&node.0]));
+                need_strided.push(assigned(node_off, node));
+                outputs.push((oi, assigned(node_off, node)));
             }
         }
     }
@@ -1578,6 +1764,7 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
                 need_strided,
                 need_packed,
             },
+            runs,
         );
         (
             lowered.code,
@@ -1588,7 +1775,7 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
         )
     } else {
         (
-            Code::lower(&steps),
+            Code::lower(&steps, runs),
             Code::default(),
             0,
             HashMap::new(),
@@ -1615,6 +1802,9 @@ fn build_program(fe: &FrontEnd<'_>, pi: u32, p: &parendi_core::Process) -> Progr
     let packed_sends = resolve_sends(&raw_packed_sends);
     let offchip_packed_sends = resolve_sends(&raw_offchip_packed_sends);
     let offchip_packed_words = offchip_packed_sends.len() as u64 * pw as u64;
+    for &nid in &order {
+        node_off[nid as usize] = UNSET;
+    }
 
     Program {
         code,
@@ -1960,6 +2150,120 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// A random soup of registers, an input, a constant, an array and
+    /// `ops` operations over mixed widths (one wider than a word), every
+    /// register fed back from it — the schedule property test's circuits.
+    fn soup(seed: u64, ops: usize) -> Circuit {
+        let mut x = seed * 2 + 1;
+        let mut rnd = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let widths = [1u32, 8, 32, 64, 96];
+        let mut b = parendi_rtl::Builder::new("soup");
+        let regs: Vec<_> = (0..5)
+            .map(|i| b.reg(format!("r{i}"), widths[i], rnd(251)))
+            .collect();
+        let mem = b.array("mem", 32, 32);
+        let mut pool: Vec<_> = regs.iter().map(|r| r.q()).collect();
+        pool.push(b.input("in", 32));
+        pool.push(b.lit(8, rnd(251)));
+        let fit = |b: &mut parendi_rtl::Builder, s: parendi_rtl::Signal, w: u32| match s.width() {
+            sw if sw < w => b.zext(s, w),
+            sw if sw > w => b.slice(s, w - 1, 0),
+            _ => s,
+        };
+        for _ in 0..ops {
+            let w = widths[rnd(5) as usize];
+            let a = fit(&mut b, pool[rnd(pool.len() as u64) as usize], w);
+            let c = fit(&mut b, pool[rnd(pool.len() as u64) as usize], w);
+            let v = match rnd(8) {
+                0 => b.add(a, c),
+                1 => b.and(a, c),
+                2 => b.xor(a, c),
+                3 => b.mul(a, c),
+                4 => {
+                    let sel = b.bit(c, 0);
+                    b.mux(sel, a, c)
+                }
+                5 => {
+                    let lt = b.lt_s(a, c);
+                    b.zext(lt, w)
+                }
+                6 => {
+                    let idx = fit(&mut b, a, 5);
+                    let rd = b.array_read(mem, idx);
+                    fit(&mut b, rd, w)
+                }
+                _ => {
+                    let r = b.red_xor(a);
+                    b.sext(r, w)
+                }
+            };
+            pool.push(v);
+        }
+        for r in &regs {
+            let v = pool[pool.len() - 1 - rnd(ops as u64 / 2) as usize];
+            let v = fit(&mut b, v, r.q().width());
+            b.connect(*r, v);
+        }
+        b.finish().expect("soup validates")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The one-lane schedule on random circuits at 1–8 tiles: the
+        /// order is a permutation of the tile's nodes, every operand
+        /// comes before its user, the scratch comes back clean, and a
+        /// second call returns the same order (compiles are cached by
+        /// `CompileKey` and compared across processes, so nothing may
+        /// depend on hash order). Through the whole front-end, twice:
+        /// the same instruction stream, every fused operand's arena
+        /// offset below its destination's — what the gang sweep's
+        /// `split_at_mut` and the packed invariance pass lean on.
+        #[test]
+        fn schedule_is_a_deterministic_topological_permutation(
+            seed in 0u64..1_000_000,
+            tiles in 1u32..9,
+        ) {
+            use parendi_core::{compile, PartitionConfig};
+            let c = soup(seed, 40 + (seed % 90) as usize);
+            let comp = compile(&c, &PartitionConfig::with_tiles(tiles)).unwrap();
+            let key = |k: &NodeKind| match *k {
+                NodeKind::Input(i) => i.0 as u64,
+                NodeKind::RegRead(r) => 1 << 62 | r.0 as u64,
+                _ => unreachable!("only reads are keyed"),
+            };
+            let mut rank_of = vec![UNSET; c.nodes.len()];
+            for p in &comp.partition.processes {
+                let order = schedule(&c, &p.nodes, &mut rank_of, key);
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(sorted, p.nodes.iter().collect::<Vec<_>>());
+                let at: HashMap<u32, usize> =
+                    order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+                for &n in &order {
+                    c.nodes[n as usize].for_each_operand(|o| assert!(at[&o.0] < at[&n]));
+                }
+                prop_assert!(rank_of.iter().all(|&r| r == UNSET));
+                prop_assert_eq!(schedule(&c, &p.nodes, &mut rank_of, key), order);
+            }
+            let first = Compiled::new(&c, &comp.partition, 1, false);
+            let again = Compiled::new(&c, &comp.partition, 1, false);
+            for (a, b) in first.programs.iter().zip(&again.programs) {
+                prop_assert_eq!(a.code.disasm(), b.code.disasm());
+                a.code.for_each_op(|opc, _, args, _| {
+                    if crate::exec::is_fused1(opc) {
+                        assert!(args[1..].iter().all(|&o| o < args[0]), "{:?}", args);
+                    }
+                });
             }
         }
     }

@@ -27,6 +27,77 @@
 //! indexing a side table of the original [`Step`]s, evaluated through
 //! the proven slice kernels of [`eval_op`].
 //!
+//! One-lane code additionally carries **runs** ([`op::RUN`]): a
+//! maximal sequence of two or more instructions of the same fused
+//! single-word opcode (`NOT1..=CONCAT1`) collapses into one instruction
+//! whose immediate is the element count `n` and whose `n` elements sit
+//! back to back in `args`, each the immediate word of the instruction
+//! it replaces (none for `MUX1`) followed by that instruction's
+//! operands — so a run mixes widths freely. Its arm is a loop of the
+//! very macro call the single arm makes, reading the immediate from the
+//! operand stream: one dispatch, `n` operations, each kernel body still
+//! written once. [`Code::validate`] multiplies the per-element operand
+//! count by the claimed length, which keeps the loop's unchecked
+//! operand reads provable. Runs are formed by the lowering's last pass
+//! ([`form_runs`]) *instead of* the adjacent-pair fusion
+//! ([`fuse_adjacent`]) that gang code gets: the pairs that pass looks
+//! for are a producer next to its consumer, which the schedule below
+//! pulls apart, and on `single_compute` a fused pair breaking a run
+//! cost 5–8 % (`work_per_s` 29.4 k with both passes, 31.0 k with runs
+//! alone). Statistics — [`Code::op_mix`], [`Code::histogram`],
+//! everything `ops_strided` feeds — count *simulated operations*, a
+//! run once per element; only the pair histogram and
+//! [`Code::run_lengths`] see dispatches.
+//!
+//! Gang code has no runs, and the shape of that rule was measured. With
+//! *every* fused instruction a run of `n >= 1` (one arm per opcode, the
+//! immediate always in `args`) one lane ran as fast, but gangs paid for
+//! the fatter operand stream and the changed arms: `serve_mixed`
+//! `op_ms_p50` +3.5 % and `work_per_s_t1` −2.4 % (0 of 6 pairs won),
+//! `compile_large` `peak_rss_mb` +3.1 %. With run arms beside the single
+//! arms in one match, the 25 arms a gang never takes still cost its
+//! 8-lane sweep 7 % (sr5-64 42.1 k → 39.0 k lane-cycles/s, lr3-32
+//! 90.5 k → 84.4 k). So the run arms sit behind a guard on
+//! [`LaneSet::ONE`] — a constant: a gang's dispatch is the match it was
+//! before runs existed, and one lane reaches a run arm through the
+//! guard at no cost `single_compute` can see (31.1 k either way).
+//!
+//! # Schedule
+//!
+//! A tile's program is a DAG in **single assignment**: every arena
+//! slot is bump-allocated for one node, written exactly once per cycle
+//! by that node's instruction, and read only by the node's users. Any
+//! topological order of the nodes therefore computes the same values,
+//! and because slots are handed out in *emission* order, every order
+//! keeps "an operand's offset is below its destination's" — the
+//! invariant the gang sweeps' `split_at_mut` and the packed lowering's
+//! invariance pass lean on. The front-end uses that freedom at **one
+//! lane** only: `engine::schedule` orders the nodes by opcode class
+//! (constants, then reads sorted by source so more of them coalesce
+//! into block copies, then greedily the class with the most ready
+//! nodes), which is what gives [`form_runs`] something to collapse —
+//! node-id order leaves a third of adjacent pairs on sr7 sharing an
+//! opcode; scheduled, sr7 @ 64 tiles dispatches 3.5 k times for 30.4 k
+//! operations (mean run 10.8).
+//!
+//! The selector is the lane count the constructor already has, the
+//! seam [`LaneSet::ONE`] forks every arm on, not a knob: one lane is
+//! dispatch-bound, a gang amortises each dispatch over its lanes and
+//! is bandwidth-bound. Measured on the 2-core reference host:
+//! at one lane, schedule plus runs take `single_compute` from 20.0 k to
+//! 31 k cycles/s; with the same schedule applied to the 64-lane
+//! `gang_lanes` gangs (a tile's arena is ~300 KB there, node-id order
+//! is producer-near-consumer order, and the opcode order throws that
+//! locality away) `work_per_s_t1` fell 6.5 % in both of two pairs
+//! (1.66 M → 1.55 M); the issue's prototype read −6…−10 % on
+//! sprng32-16 and −5…−8 % on sr4-16 at 64 lanes, and at 8 lanes
+//! +8…12 % run rate but `serve_mixed` flat and `compile_large` −18 %.
+//! So a gang keeps node-id order and forms no runs — its instruction
+//! stream is the one the lowering produced before runs existed — and
+//! the benchmark has workloads on both
+//! sides of the choice (`single_*` against `gang_lanes`,
+//! `serve_mixed`, `compile_large`).
+//!
 //! # Packed 1-bit lanes
 //!
 //! In packed mode ([`EngineCore::new`] with `packed = true`) 1-bit
@@ -78,7 +149,8 @@
 //!
 //! [`exec_code`] is the one loop both engines spend their cycles in:
 //! it walks `ops` once per tile per cycle, and every dispatched opcode
-//! sweeps its operation across all (active) lanes. Early-exited lanes
+//! sweeps its operation — at one lane, its run of operations — across
+//! all (active) lanes. Early-exited lanes
 //! ([`EngineCore::finish_lane`]) are dropped from the sweep at dispatch
 //! granularity by swapping the [`AllLanes`] lane set for a [`LaneList`]
 //! of the survivors — finished lanes' registers, arrays, and mailbox
@@ -246,9 +318,15 @@ pub(crate) mod op {
     /// second; args `t, sel1, a, b, d, sel2, c`: `t = sel1 ? a : b`,
     /// `d = sel2 ? t : c` (bit 0 clear) or `d = sel2 ? c : t` (set).
     pub const MUX2: u8 = 43;
+    /// Marks a **run** of the fused single-word opcode in the low bits
+    /// (`NOT1..=CONCAT1`): `imm = n >= 2` elements, each laid out in
+    /// `args` as that opcode's immediate word (none for `MUX1`) followed
+    /// by its operands — so a run may mix widths. One-lane code only
+    /// (see [`super::form_runs`]).
+    pub const RUN: u8 = 0x40;
 }
 
-fn un1_opc(o: UnOp) -> u8 {
+pub(crate) fn un1_opc(o: UnOp) -> u8 {
     match o {
         UnOp::Not => op::NOT1,
         UnOp::Neg => op::NEG1,
@@ -258,7 +336,7 @@ fn un1_opc(o: UnOp) -> u8 {
     }
 }
 
-fn bin1_opc(o: BinOp) -> u8 {
+pub(crate) fn bin1_opc(o: BinOp) -> u8 {
     match o {
         BinOp::And => op::AND1,
         BinOp::Or => op::OR1,
@@ -291,7 +369,19 @@ pub(crate) struct Code {
     pub wide: Vec<Step>,
 }
 
-/// Operand words each opcode consumes from [`Code::args`].
+/// Whether `opc` is a run ([`op::RUN`]) of the opcode in its low bits.
+pub(crate) fn is_run(opc: u8) -> bool {
+    opc & op::RUN != 0
+}
+
+/// Whether `opc` is one of the fused single-word kernels — the opcodes
+/// runs are made of.
+pub(crate) fn is_fused1(opc: u8) -> bool {
+    (op::NOT1..=op::CONCAT1).contains(&opc)
+}
+
+/// Operand words each opcode consumes from [`Code::args`] — per
+/// element for a run, whose elements carry their immediate in `args`.
 pub(crate) fn argc(opc: u8) -> usize {
     match opc {
         op::COPY_INPUT | op::COPY_REG => 2,
@@ -310,13 +400,19 @@ pub(crate) fn argc(opc: u8) -> usize {
         op::PCOPY_MAIL => 3,
         op::SHLM1 | op::LSHRM1 => 4,
         op::MUX2 => 7,
+        run if is_run(run) => {
+            let of = run & !op::RUN;
+            assert!(is_fused1(of), "no runs of opcode {of}");
+            argc(of) + (of != op::MUX1) as usize
+        }
         other => unreachable!("unknown opcode {other}"),
     }
 }
 
-/// Stable mnemonic of an opcode (disassembly, histograms).
+/// Stable mnemonic of an opcode (disassembly, histograms); a run goes
+/// by the name of the opcode it repeats.
 pub(crate) fn opcode_name(opc: u8) -> &'static str {
-    match opc {
+    match opc & !op::RUN {
         op::COPY_INPUT => "input",
         op::COPY_REG => "regown",
         op::COPY_MAIL => "regmail",
@@ -375,18 +471,51 @@ impl Code {
 
     /// Checks the structural invariant the unchecked operand reads of
     /// the hot loop rely on: walking `ops` with the fixed per-opcode
-    /// operand counts consumes `args` exactly.
+    /// operand counts — times the element count its immediate claims,
+    /// for a run — consumes `args` exactly.
     fn validate(&self) {
-        let total: usize = self.ops.iter().map(|&o| argc((o & 0xff) as u8)).sum();
+        let total: usize = self
+            .ops
+            .iter()
+            .map(|&o| {
+                let opc = (o & 0xff) as u8;
+                let n = if is_run(opc) { (o >> 8) as usize } else { 1 };
+                n * argc(opc)
+            })
+            .sum();
         assert_eq!(total, self.args.len(), "operand stream out of sync");
+    }
+
+    /// Visits every **simulated operation** — an instruction, or each
+    /// element of a run under the opcode it repeats — as `(opcode,
+    /// immediate, operands, leads)`; `leads` is false for the elements
+    /// that ride on an earlier one's dispatch.
+    pub(crate) fn for_each_op(&self, mut f: impl FnMut(u8, u32, &[u32], bool)) {
+        let mut p = 0usize;
+        for &opw in &self.ops {
+            let (opc, imm) = ((opw & 0xff) as u8, opw >> 8);
+            let n = argc(opc);
+            if !is_run(opc) {
+                f(opc, imm, &self.args[p..p + n], true);
+                p += n;
+                continue;
+            }
+            let of = opc & !op::RUN;
+            for k in 0..imm {
+                let elem = &self.args[p..p + n];
+                let (imm, a) = elem.split_at(n - argc(of));
+                f(of, imm.first().copied().unwrap_or(0), a, k == 0);
+                p += n;
+            }
+        }
     }
 
     /// Lowers a step program into strided bytecode: fused single-word
     /// opcodes for `nw == 1` operations, peephole-coalesced block
     /// copies for adjacent contiguous `Input`/`RegOwn`/`RegMail` reads,
     /// and a cold [`Step`] side table for everything multi-word.
-    pub(crate) fn lower(steps: &[Step]) -> Code {
-        lower_inner(steps, None).code
+    pub(crate) fn lower(steps: &[Step], runs: bool) -> Code {
+        lower_inner(steps, None, runs).code
     }
 
     /// Packed-mode lowering: like [`lower`](Self::lower), but eligible
@@ -394,190 +523,117 @@ impl Code {
     /// 64 lanes) with explicit `PACK`/`UNPACK` transpose boundaries
     /// where the strided and packed domains meet. Returns the slot map
     /// so the caller can resolve packed register commits/sends.
-    pub(crate) fn lower_packed(steps: &[Step], plan: &PackPlan) -> Lowered {
-        lower_inner(steps, Some(plan))
+    pub(crate) fn lower_packed(steps: &[Step], plan: &PackPlan, runs: bool) -> Lowered {
+        lower_inner(steps, Some(plan), runs)
     }
 
-    /// A stable, line-per-instruction disassembly (golden tests, debug).
+    /// A stable disassembly, one line per simulated operation (golden
+    /// tests, debug). A run prints its elements as the instructions they
+    /// replaced, `+ `-prefixed after the first.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn disasm(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.ops.len());
-        let mut p = 0usize;
-        for &opw in &self.ops {
-            let imm = opw >> 8;
-            let opc = (opw & 0xff) as u8;
-            let a = |k: usize| self.args[p + k];
-            let bin_name = |o: u8| match o {
-                op::AND1 => "and1",
-                op::OR1 => "or1",
-                op::XOR1 => "xor1",
-                op::ADD1 => "add1",
-                op::SUB1 => "sub1",
-                op::MUL1 => "mul1",
-                op::EQ1 => "eq1",
-                op::NE1 => "ne1",
-                op::LTU1 => "ltu1",
-                op::LTS1 => "lts1",
-                op::LEU1 => "leu1",
-                op::LES1 => "les1",
-                op::SHL1 => "shl1",
-                op::LSHR1 => "lshr1",
-                _ => "ashr1",
-            };
-            let (line, argc) = match opc {
-                op::COPY_INPUT => (format!("input dst={} src={} nw={imm}", a(0), a(1)), 2),
-                op::COPY_REG => (format!("regown dst={} src={} nw={imm}", a(0), a(1)), 2),
-                op::COPY_MAIL => (
-                    format!("regmail dst={} ch={} src={} nw={imm}", a(0), a(1), a(2)),
-                    3,
-                ),
-                op::ARRAY_READ => (
-                    format!(
-                        "arrayread dst={} arr={} idx={} depth={} idx_w={} nw={}",
-                        a(0),
-                        a(1),
-                        a(2),
-                        a(3),
-                        imm & 0xff,
-                        imm >> 8
-                    ),
-                    4,
-                ),
-                op::NOT1 | op::NEG1 | op::REDAND1 | op::REDOR1 | op::REDXOR1 => {
-                    let name = match opc {
-                        op::NOT1 => "not1",
-                        op::NEG1 => "neg1",
-                        op::REDAND1 => "redand1",
-                        op::REDOR1 => "redor1",
-                        _ => "redxor1",
-                    };
-                    (
-                        format!(
-                            "{name} dst={} a={} w={} aw={}",
-                            a(0),
-                            a(1),
-                            imm & 0x7f,
-                            imm >> 7
-                        ),
-                        2,
-                    )
+        let mut out = Vec::new();
+        self.for_each_op(|opc, imm, a, leads| {
+            let name = opcode_name(opc);
+            let line = match opc {
+                op::COPY_INPUT | op::COPY_REG => {
+                    format!("{name} dst={} src={} nw={imm}", a[0], a[1])
                 }
-                op::AND1..=op::ASHR1 => (
-                    format!(
-                        "{} dst={} a={} b={} w={} aw={}",
-                        bin_name(opc),
-                        a(0),
-                        a(1),
-                        a(2),
-                        imm & 0x7f,
-                        imm >> 7
-                    ),
-                    3,
+                op::COPY_MAIL => {
+                    format!("{name} dst={} ch={} src={} nw={imm}", a[0], a[1], a[2])
+                }
+                op::ARRAY_READ => format!(
+                    "{name} dst={} arr={} idx={} depth={} idx_w={} nw={}",
+                    a[0],
+                    a[1],
+                    a[2],
+                    a[3],
+                    imm & 0xff,
+                    imm >> 8
                 ),
-                op::MUX1 => (
-                    format!("mux1 dst={} sel={} t={} f={}", a(0), a(1), a(2), a(3)),
-                    4,
+                op::NOT1..=op::REDXOR1 => format!(
+                    "{name} dst={} a={} w={} aw={}",
+                    a[0],
+                    a[1],
+                    imm & 0x7f,
+                    imm >> 7
                 ),
-                op::SLICE1 => (
-                    format!(
-                        "slice1 dst={} a={} lo={} w={}",
-                        a(0),
-                        a(1),
-                        imm & 0x3f,
-                        imm >> 6
-                    ),
-                    2,
+                op::AND1..=op::ASHR1 => format!(
+                    "{name} dst={} a={} b={} w={} aw={}",
+                    a[0],
+                    a[1],
+                    a[2],
+                    imm & 0x7f,
+                    imm >> 7
                 ),
-                op::ZEXT1 => (format!("zext1 dst={} a={} w={imm}", a(0), a(1)), 2),
-                op::SEXT1 => (
-                    format!(
-                        "sext1 dst={} a={} aw={} w={}",
-                        a(0),
-                        a(1),
-                        imm & 0x7f,
-                        imm >> 7
-                    ),
-                    2,
+                op::MUX1 => format!("{name} dst={} sel={} t={} f={}", a[0], a[1], a[2], a[3]),
+                op::SLICE1 => format!(
+                    "{name} dst={} a={} lo={} w={}",
+                    a[0],
+                    a[1],
+                    imm & 0x3f,
+                    imm >> 6
                 ),
-                op::CONCAT1 => (
-                    format!(
-                        "concat1 dst={} hi={} lo={} low_w={} w={}",
-                        a(0),
-                        a(1),
-                        a(2),
-                        imm & 0x3f,
-                        imm >> 6
-                    ),
-                    3,
+                op::ZEXT1 => format!("{name} dst={} a={} w={imm}", a[0], a[1]),
+                op::SEXT1 => format!(
+                    "{name} dst={} a={} aw={} w={}",
+                    a[0],
+                    a[1],
+                    imm & 0x7f,
+                    imm >> 7
                 ),
-                op::PACK => (format!("pack pdst={} src={}", a(0), a(1)), 2),
-                op::UNPACK => (format!("unpack dst={} psrc={}", a(0), a(1)), 2),
-                op::PNOT => (format!("pnot pdst={} pa={} pw={imm}", a(0), a(1)), 2),
+                op::CONCAT1 => format!(
+                    "{name} dst={} hi={} lo={} low_w={} w={}",
+                    a[0],
+                    a[1],
+                    a[2],
+                    imm & 0x3f,
+                    imm >> 6
+                ),
+                op::PACK => format!("{name} pdst={} src={}", a[0], a[1]),
+                op::UNPACK => format!("{name} dst={} psrc={}", a[0], a[1]),
+                op::PNOT => format!("{name} pdst={} pa={} pw={imm}", a[0], a[1]),
                 op::PAND | op::POR | op::PXOR => {
-                    let name = match opc {
-                        op::PAND => "pand",
-                        op::POR => "por",
-                        _ => "pxor",
-                    };
-                    (
-                        format!("{name} pdst={} pa={} pb={} pw={imm}", a(0), a(1), a(2)),
-                        3,
-                    )
+                    format!("{name} pdst={} pa={} pb={} pw={imm}", a[0], a[1], a[2])
                 }
-                op::PBOOL => (
-                    format!(
-                        "pbool pdst={} pa={} pb={} pw={} tt={:04b}",
-                        a(0),
-                        a(1),
-                        a(2),
-                        imm & 0xffff,
-                        imm >> 16
-                    ),
-                    3,
+                op::PBOOL => format!(
+                    "{name} pdst={} pa={} pb={} pw={} tt={:04b}",
+                    a[0],
+                    a[1],
+                    a[2],
+                    imm & 0xffff,
+                    imm >> 16
                 ),
-                op::PMUX => (
-                    format!(
-                        "pmux pdst={} psel={} pt={} pf={} pw={imm}",
-                        a(0),
-                        a(1),
-                        a(2),
-                        a(3)
-                    ),
-                    4,
+                op::PMUX => format!(
+                    "{name} pdst={} psel={} pt={} pf={} pw={imm}",
+                    a[0], a[1], a[2], a[3]
                 ),
-                op::PCOPY_REG => (format!("pregown pdst={} src={} pw={imm}", a(0), a(1)), 2),
-                op::PCOPY_INPUT => (format!("pinput pdst={} src={} pw={imm}", a(0), a(1)), 2),
-                op::PCOPY_MAIL => (
-                    format!("pregmail pdst={} ch={} src={} pw={imm}", a(0), a(1), a(2)),
-                    3,
+                op::PCOPY_REG | op::PCOPY_INPUT => {
+                    format!("{name} pdst={} src={} pw={imm}", a[0], a[1])
+                }
+                op::PCOPY_MAIL => {
+                    format!("{name} pdst={} ch={} src={} pw={imm}", a[0], a[1], a[2])
+                }
+                op::SHLM1 | op::LSHRM1 => format!(
+                    "{name} t={} a={} b={} d={} w={} aw={} mw={}",
+                    a[0],
+                    a[1],
+                    a[2],
+                    a[3],
+                    imm & 0x7f,
+                    (imm >> 7) & 0x7f,
+                    imm >> 14
                 ),
-                op::SHLM1 | op::LSHRM1 => (
-                    format!(
-                        "{} t={} a={} b={} d={} w={} aw={} mw={}",
-                        if opc == op::SHLM1 { "shlm1" } else { "lshrm1" },
-                        a(0),
-                        a(1),
-                        a(2),
-                        a(3),
-                        imm & 0x7f,
-                        (imm >> 7) & 0x7f,
-                        imm >> 14
-                    ),
-                    4,
-                ),
-                op::MUX2 => (
-                    format!(
-                        "mux2 t={} sel1={} a={} b={} d={} sel2={} c={} pol={}",
-                        a(0),
-                        a(1),
-                        a(2),
-                        a(3),
-                        a(4),
-                        a(5),
-                        a(6),
-                        imm & 1
-                    ),
-                    7,
+                op::MUX2 => format!(
+                    "{name} t={} sel1={} a={} b={} d={} sel2={} c={} pol={}",
+                    a[0],
+                    a[1],
+                    a[2],
+                    a[3],
+                    a[4],
+                    a[5],
+                    a[6],
+                    imm & 1
                 ),
                 op::WIDE => {
                     let tag = match &self.wide[imm as usize] {
@@ -590,13 +646,12 @@ impl Code {
                         Step::Concat { .. } => "concat".into(),
                         s => unreachable!("no wide copies: {s:?}"),
                     };
-                    (format!("wide[{imm}] {tag}"), 0)
+                    format!("{name}[{imm}] {tag}")
                 }
                 other => unreachable!("unknown opcode {other}"),
             };
-            out.push(line);
-            p += argc;
-        }
+            out.push(if leads { line } else { format!("+ {line}") });
+        });
         out
     }
 
@@ -607,9 +662,7 @@ impl Code {
     /// and SIMD-coverage decisions read these counts
     /// (`PARENDI_CODE_STATS`).
     pub(crate) fn histogram(&self, h: &mut BTreeMap<(&'static str, u32), u64>) {
-        for &opw in &self.ops {
-            let opc = (opw & 0xff) as u8;
-            let imm = opw >> 8;
+        self.for_each_op(|opc, imm, _, _| {
             let w = match opc {
                 op::COPY_INPUT | op::COPY_REG | op::COPY_MAIL => imm,
                 op::ARRAY_READ => imm >> 8,
@@ -620,11 +673,12 @@ impl Code {
                 _ => 0,
             };
             *h.entry((opcode_name(opc), w)).or_insert(0) += 1;
-        }
+        });
     }
 
-    /// Counts adjacent opcode pairs — the raw data behind peephole
-    /// fusion choices (a hot pair is a fusion candidate).
+    /// Counts adjacent pairs of **dispatched** instructions (a run is
+    /// one) — the raw data behind peephole fusion choices (a hot pair
+    /// is a fusion candidate).
     pub(crate) fn pair_histogram(&self, h: &mut BTreeMap<(&'static str, &'static str), u64>) {
         for w in self.ops.windows(2) {
             let a = opcode_name((w[0] & 0xff) as u8);
@@ -633,10 +687,11 @@ impl Code {
         }
     }
 
-    /// Static `(strided, packed)` instruction split: the packed-domain
-    /// opcodes are the contiguous `PACK..=PCOPY_MAIL` block (the later
-    /// fused opcodes are strided). Feeds the `ops_strided`/`ops_packed`
-    /// metrics.
+    /// Static `(strided, packed)` split of the simulated operations
+    /// (runs expanded): the packed-domain opcodes are the contiguous
+    /// `PACK..=PCOPY_MAIL` block (the later fused opcodes are strided).
+    /// Feeds the `ops_strided`/`ops_packed` metrics and the fold's tile
+    /// cost.
     pub(crate) fn op_mix(&self) -> (u64, u64) {
         let mut strided = 0u64;
         let mut packed = 0u64;
@@ -644,11 +699,27 @@ impl Code {
             let opc = (opw & 0xff) as u8;
             if (op::PACK..=op::PCOPY_MAIL).contains(&opc) {
                 packed += 1;
+            } else if is_run(opc) {
+                strided += (opw >> 8) as u64;
             } else {
                 strided += 1;
             }
         }
         (strided, packed)
+    }
+
+    /// Accumulates the run-length histogram (`length -> instructions`)
+    /// of the fused single-word instructions into `h`: a run under its
+    /// element count, one left alone under 1.
+    pub(crate) fn run_lengths(&self, h: &mut BTreeMap<u32, u64>) {
+        for &opw in &self.ops {
+            let opc = (opw & 0xff) as u8;
+            if is_run(opc) {
+                *h.entry(opw >> 8).or_insert(0) += 1;
+            } else if is_fused1(opc) {
+                *h.entry(1).or_insert(0) += 1;
+            }
+        }
     }
 }
 
@@ -725,6 +796,51 @@ fn fuse_adjacent(code: Code) -> Code {
         out.args.extend_from_slice(&args[p..p + n]);
         p += n;
         i += 1;
+    }
+    out
+}
+
+/// Collapses every maximal sequence of two or more instructions of the
+/// same fused single-word opcode into one [`op::RUN`] instruction — one
+/// dispatch for the lot. An element is the instruction it replaces, its
+/// immediate moved into `args` ahead of its operands (so a run may mix
+/// widths). The one-lane lowering's last pass; gang code keeps one
+/// instruction per operation (see the module docs, *Schedule*).
+fn form_runs(code: Code) -> Code {
+    let mut out = Code {
+        ops: Vec::with_capacity(code.ops.len()),
+        args: Vec::with_capacity(code.args.len() + code.ops.len()),
+        wide: code.wide,
+    };
+    let (ops, args) = (&code.ops, &code.args);
+    let (mut i, mut p) = (0usize, 0usize);
+    while i < ops.len() {
+        let opc = (ops[i] & 0xff) as u8;
+        let n = argc(opc);
+        let same = |o: &u32| (o & 0xff) as u8 == opc;
+        let len = if is_fused1(opc) {
+            ops[i..]
+                .iter()
+                .take((1 << 24) - 1)
+                .take_while(|o| same(o))
+                .count()
+        } else {
+            1
+        };
+        if len == 1 {
+            out.ops.push(ops[i]);
+            out.args.extend_from_slice(&args[p..p + n]);
+        } else {
+            out.ops.push((op::RUN | opc) as u32 | (len as u32) << 8);
+            for (k, opw) in ops[i..i + len].iter().enumerate() {
+                if opc != op::MUX1 {
+                    out.args.push(opw >> 8);
+                }
+                out.args.extend_from_slice(&args[p + k * n..][..n]);
+            }
+        }
+        i += len;
+        p += len * n;
     }
     out
 }
@@ -1129,7 +1245,7 @@ fn classify_invariant(steps: &[Step], seed: &HashSet<u32>) -> (Vec<bool>, HashSe
 /// arena offset is written by exactly one step (bump allocation) and an
 /// invariant step only reads invariant offsets, whose producers keep
 /// their relative order.
-fn lower_inner(steps: &[Step], plan: Option<&PackPlan>) -> Lowered {
+fn lower_inner(steps: &[Step], plan: Option<&PackPlan>, runs: bool) -> Lowered {
     let mut ctx = LowerCtx {
         code: Code::default(),
         prelude: Code::default(),
@@ -1190,10 +1306,23 @@ fn lower_inner(steps: &[Step], plan: Option<&PackPlan>) -> Lowered {
         }
         ctx.flush();
     }
-    let code = fuse_adjacent(ctx.code);
-    code.validate();
-    let prelude = fuse_adjacent(ctx.prelude);
-    prelude.validate();
+    // Alternatives, not stages: pair fusion needs a producer next to
+    // its consumer, which the one-lane opcode schedule pulls apart.
+    let finish = |code: Code| {
+        let mut code = if runs {
+            form_runs(code)
+        } else {
+            fuse_adjacent(code)
+        };
+        code.validate();
+        // The streams live as long as the engine, and both passes size
+        // their output for the worst case: drop the slack.
+        code.ops.shrink_to_fit();
+        code.args.shrink_to_fit();
+        code
+    };
+    let code = finish(ctx.code);
+    let prelude = finish(ctx.prelude);
     Lowered {
         packed_words: (ctx.next_slot * ctx.pw) as usize,
         pslot: ctx.pslot,
@@ -1416,14 +1545,14 @@ impl LaneSet for LaneList<'_> {
 #[derive(Debug)]
 pub(crate) struct LaneTile {
     /// `arena_words × lanes` words of combinational values.
-    pub arena: Vec<u64>,
+    pub arena: TileBuf,
     /// Packed scratch arena: one `pw`-word block per packed 1-bit net
     /// (packed mode only; empty otherwise).
     pub packed: Vec<u64>,
     /// `rw × lanes` strided words — this tile's own wide registers,
     /// `RegId` order — followed by the packed tail (one `pw`-word block
     /// per 1-bit register in packed mode).
-    pub reg_cur: Vec<u64>,
+    pub reg_cur: TileBuf,
     /// Local copies of held arrays, each `lanes × arr_words[i]` words,
     /// one contiguous block per lane (array traffic is index-scattered
     /// anyway).
@@ -1440,10 +1569,75 @@ pub(crate) struct LaneTile {
     pub scratch: Vec<u64>,
 }
 
+/// A tile's per-cycle state words (`arena`, `reg_cur`) on cache lines
+/// no other buffer touches: the words start on a 128-byte boundary —
+/// two lines, the pair the adjacent-line prefetcher moves together —
+/// of a zeroed allocation that runs past the end of their last pair.
+/// Two workers write neighbouring tiles' blocks every cycle,
+/// and the allocator packs small `Vec<u64>`s back to back in whatever
+/// order the front-end's frees left its bins: sharing a line there cost
+/// prng64-32 at 2 workers 17 % (851–874 k → 707–721 k cycles/s) and
+/// vta-256 8 %, and a 64-lane gang whose 512-byte rows straddled lines
+/// lost 2.6 % on `gang_lanes`. The allocation is never resized or
+/// cloned, so the boundary found at construction holds (snapshots copy
+/// words out, restores copy words in).
+#[derive(Debug)]
+pub(crate) struct TileBuf {
+    /// The first word: the first 128-byte boundary inside `_store`.
+    first: std::ptr::NonNull<u64>,
+    words: usize,
+    /// The allocation `first` points into, kept only to own it.
+    _store: Vec<u64>,
+}
+
+// SAFETY: `first` points into the heap block `_store` owns, so the two
+// change threads together.
+unsafe impl Send for TileBuf {}
+
+impl TileBuf {
+    const PAIR: usize = 16;
+
+    pub(crate) fn zeroed(words: usize) -> Self {
+        // `vec![0; n]` is `calloc`: pages no cycle writes stay untouched.
+        let mut store = vec![0u64; words.next_multiple_of(Self::PAIR) + Self::PAIR];
+        let lead = store.as_ptr().align_offset(Self::PAIR * 8);
+        assert!(lead < Self::PAIR, "u64 storage reaches a 128-byte boundary");
+        // SAFETY: `lead < PAIR <= store.len()`.
+        let first = unsafe { std::ptr::NonNull::new_unchecked(store.as_mut_ptr().add(lead)) };
+        TileBuf {
+            first,
+            words,
+            _store: store,
+        }
+    }
+}
+
+// The views are one pointer and one length, like a `Vec`'s: deriving
+// them from the `Vec` and an offset at every use changed `exec_code`'s
+// register allocation enough to cost `serve_mixed` 4–6 % (`op_ms_p50`
+// +7.4 %, 0 of 10 pairs).
+impl std::ops::Deref for TileBuf {
+    type Target = [u64];
+    #[inline(always)]
+    fn deref(&self) -> &[u64] {
+        // SAFETY: `zeroed` placed `first` with at least `words` zeroed
+        // words of `_store` after it, and `_store` is never resized.
+        unsafe { std::slice::from_raw_parts(self.first.as_ptr(), self.words) }
+    }
+}
+
+impl std::ops::DerefMut for TileBuf {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        // SAFETY: as in `deref`, borrowed uniquely through `&mut self`.
+        unsafe { std::slice::from_raw_parts_mut(self.first.as_ptr(), self.words) }
+    }
+}
+
 /// Executes one tile's bytecode at cycle `c` for every lane in `lanes`:
 /// **the** hot loop. One dispatch per instruction. Under [`OneLane`] a
-/// fused single-word opcode is one plain `u64` kernel call and copies
-/// are block copies; for a gang the same opcode hands each dense lane
+/// fused single-word opcode is a loop of plain `u64` kernel calls over
+/// its run and copies are block copies; for a gang the same opcode hands each dense lane
 /// chunk to the [`crate::simd`] kernels, copies move lane rows, and
 /// multi-word operations gather one lane at a time through `scratch`
 /// into the slice kernels.
@@ -1457,6 +1651,12 @@ pub(crate) fn exec_code<L: LaneSet>(
     lanes: L,
     isa: VecIsa,
 ) {
+    // Every lane retired: nothing computes, and nothing may decode —
+    // a retired one-lane engine arrives as an empty `LaneList`, whose
+    // match has no arms for the run words one-lane code carries.
+    if !L::ONE && lanes.count() == 0 {
+        return;
+    }
     let LaneTile {
         arena,
         packed,
@@ -1475,19 +1675,42 @@ pub(crate) fn exec_code<L: LaneSet>(
     let args = &code.args[..];
     let mut p = 0usize;
     // The operand cursor is validated once at lowering time
-    // (`Code::lower` emits a fixed arg count per opcode and checks the
-    // totals), so the hot loop reads the stream unchecked.
+    // (`Code::validate`), so the hot loop reads the stream unchecked.
     macro_rules! arg {
         ($k:expr) => {
-            // SAFETY: `p + argc(opcode) <= args.len()` by construction.
+            // SAFETY: `Code::validate` proved that the per-opcode
+            // operand counts — times the element count in the very
+            // immediate a run arm loops on — sum to `args.len()`, and
+            // every arm advances `p` by exactly that count per element,
+            // so `p + k` (k below the count) is in bounds.
             unsafe { *args.get_unchecked(p + $k) }
         };
     }
 
-    // Shared decode for the fused unary / binary families. The gang
-    // branch splits the arena at the destination row: operands strictly
-    // precede their destination (bump allocation), so every source row
-    // lives in the left half and the borrow is always well-formed.
+    // A run arm: the `$elem` body — the same macro call the single arm
+    // makes, its immediate read from the operand stream — once per
+    // element.
+    macro_rules! run {
+        ($n:expr, $elem:expr) => {
+            for _ in 0..$n {
+                $elem
+            }
+        };
+    }
+    // The immediate word that leads a run element.
+    macro_rules! lead {
+        () => {{
+            let imm = arg!(0) as usize;
+            p += 1;
+            imm
+        }};
+    }
+    // Shared decode for the fused single-word kernels, one macro per
+    // operand shape, each instantiated by a single arm and a run arm.
+    // The gang branch splits the arena at the destination row: operands
+    // strictly precede their destination (bump allocation), so every
+    // source row lives in the left half and the borrow is always
+    // well-formed.
     macro_rules! u1 {
         ($opv:expr, $imm:expr) => {{
             let imm = $imm;
@@ -1523,6 +1746,104 @@ pub(crate) fn exec_code<L: LaneSet>(
                         &src[bb * nl + s..][..n],
                         w,
                         opw,
+                    );
+                });
+            }
+        }};
+    }
+    macro_rules! mux1 {
+        () => {{
+            let (dst, sel, t, f) = (
+                arg!(0) as usize,
+                arg!(1) as usize,
+                arg!(2) as usize,
+                arg!(3) as usize,
+            );
+            p += 4;
+            if L::ONE {
+                let pick = if arena[sel] & 1 == 1 { t } else { f };
+                arena[dst] = arena[pick];
+            } else {
+                let (src, d) = arena.split_at_mut(dst * nl);
+                lanes.for_each_chunk(|s, n| {
+                    vmux(
+                        isa,
+                        &mut d[s..s + n],
+                        &src[sel * nl + s..][..n],
+                        &src[t * nl + s..][..n],
+                        &src[f * nl + s..][..n],
+                    );
+                });
+            }
+        }};
+    }
+    macro_rules! slice1 {
+        ($imm:expr) => {{
+            let imm = $imm;
+            let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
+            p += 2;
+            let lo = (imm & 0x3f) as u32;
+            let w = (imm >> 6) as u32;
+            if L::ONE {
+                arena[dst] = (arena[a] >> lo) & top_word_mask(w);
+            } else {
+                let (src, d) = arena.split_at_mut(dst * nl);
+                lanes.for_each_chunk(|s, n| {
+                    vslice(isa, &mut d[s..s + n], &src[a * nl + s..][..n], lo, w);
+                });
+            }
+        }};
+    }
+    macro_rules! zext1 {
+        ($imm:expr) => {{
+            let imm = $imm;
+            let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
+            p += 2;
+            if L::ONE {
+                arena[dst] = arena[a] & top_word_mask(imm as u32);
+            } else {
+                let (src, d) = arena.split_at_mut(dst * nl);
+                lanes.for_each_chunk(|s, n| {
+                    vzext(isa, &mut d[s..s + n], &src[a * nl + s..][..n], imm as u32);
+                });
+            }
+        }};
+    }
+    macro_rules! sext1 {
+        ($imm:expr) => {{
+            let imm = $imm;
+            let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
+            p += 2;
+            let (aw, w) = ((imm & 0x7f) as u32, (imm >> 7) as u32);
+            if L::ONE {
+                arena[dst] = sext1(arena[a], aw, w);
+            } else {
+                let (src, d) = arena.split_at_mut(dst * nl);
+                lanes.for_each_chunk(|s, n| {
+                    vsext(isa, &mut d[s..s + n], &src[a * nl + s..][..n], aw, w);
+                });
+            }
+        }};
+    }
+    macro_rules! concat1 {
+        ($imm:expr) => {{
+            let imm = $imm;
+            let (dst, hi, lo) = (arg!(0) as usize, arg!(1) as usize, arg!(2) as usize);
+            p += 3;
+            let low_w = (imm & 0x3f) as u32;
+            let w = (imm >> 6) as u32;
+            if L::ONE {
+                arena[dst] = (arena[lo] | (arena[hi] << low_w)) & top_word_mask(w);
+            } else {
+                let (src, d) = arena.split_at_mut(dst * nl);
+                lanes.for_each_chunk(|s, n| {
+                    vconcat(
+                        isa,
+                        &mut d[s..s + n],
+                        &src[hi * nl + s..][..n],
+                        &src[lo * nl + s..][..n],
+                        low_w,
+                        w,
                     );
                 });
             }
@@ -1626,90 +1947,11 @@ pub(crate) fn exec_code<L: LaneSet>(
             op::SHL1 => b1!(BinOp::Shl, imm),
             op::LSHR1 => b1!(BinOp::Lshr, imm),
             op::ASHR1 => b1!(BinOp::Ashr, imm),
-            op::MUX1 => {
-                let (dst, sel, t, f) = (
-                    arg!(0) as usize,
-                    arg!(1) as usize,
-                    arg!(2) as usize,
-                    arg!(3) as usize,
-                );
-                p += 4;
-                if L::ONE {
-                    let pick = if arena[sel] & 1 == 1 { t } else { f };
-                    arena[dst] = arena[pick];
-                } else {
-                    let (src, d) = arena.split_at_mut(dst * nl);
-                    lanes.for_each_chunk(|s, n| {
-                        vmux(
-                            isa,
-                            &mut d[s..s + n],
-                            &src[sel * nl + s..][..n],
-                            &src[t * nl + s..][..n],
-                            &src[f * nl + s..][..n],
-                        );
-                    });
-                }
-            }
-            op::SLICE1 => {
-                let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
-                p += 2;
-                let lo = (imm & 0x3f) as u32;
-                let w = (imm >> 6) as u32;
-                if L::ONE {
-                    arena[dst] = (arena[a] >> lo) & top_word_mask(w);
-                } else {
-                    let (src, d) = arena.split_at_mut(dst * nl);
-                    lanes.for_each_chunk(|s, n| {
-                        vslice(isa, &mut d[s..s + n], &src[a * nl + s..][..n], lo, w);
-                    });
-                }
-            }
-            op::ZEXT1 => {
-                let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
-                p += 2;
-                if L::ONE {
-                    arena[dst] = arena[a] & top_word_mask(imm as u32);
-                } else {
-                    let (src, d) = arena.split_at_mut(dst * nl);
-                    lanes.for_each_chunk(|s, n| {
-                        vzext(isa, &mut d[s..s + n], &src[a * nl + s..][..n], imm as u32);
-                    });
-                }
-            }
-            op::SEXT1 => {
-                let (dst, a) = (arg!(0) as usize, arg!(1) as usize);
-                p += 2;
-                let (aw, w) = ((imm & 0x7f) as u32, (imm >> 7) as u32);
-                if L::ONE {
-                    arena[dst] = sext1(arena[a], aw, w);
-                } else {
-                    let (src, d) = arena.split_at_mut(dst * nl);
-                    lanes.for_each_chunk(|s, n| {
-                        vsext(isa, &mut d[s..s + n], &src[a * nl + s..][..n], aw, w);
-                    });
-                }
-            }
-            op::CONCAT1 => {
-                let (dst, hi, lo) = (arg!(0) as usize, arg!(1) as usize, arg!(2) as usize);
-                p += 3;
-                let low_w = (imm & 0x3f) as u32;
-                let w = (imm >> 6) as u32;
-                if L::ONE {
-                    arena[dst] = (arena[lo] | (arena[hi] << low_w)) & top_word_mask(w);
-                } else {
-                    let (src, d) = arena.split_at_mut(dst * nl);
-                    lanes.for_each_chunk(|s, n| {
-                        vconcat(
-                            isa,
-                            &mut d[s..s + n],
-                            &src[hi * nl + s..][..n],
-                            &src[lo * nl + s..][..n],
-                            low_w,
-                            w,
-                        );
-                    });
-                }
-            }
+            op::MUX1 => mux1!(),
+            op::SLICE1 => slice1!(imm),
+            op::ZEXT1 => zext1!(imm),
+            op::SEXT1 => sext1!(imm),
+            op::CONCAT1 => concat1!(imm),
             op::WIDE => {
                 let step = &code.wide[imm];
                 if L::ONE {
@@ -1853,6 +2095,9 @@ pub(crate) fn exec_code<L: LaneSet>(
                 let buf = unsafe { channels[ch].read(read_parity) };
                 packed[pdst..pdst + imm].copy_from_slice(&buf[src..src + imm]);
             }
+            // The pair-fused opcodes are gang code only — the one-lane
+            // lowering forms runs instead — so their arms have no scalar
+            // fast path: at one lane the sweep is one unit chunk.
             opc @ (op::SHLM1 | op::LSHRM1) => {
                 let opv = if opc == op::SHLM1 {
                     BinOp::Shl
@@ -1868,30 +2113,24 @@ pub(crate) fn exec_code<L: LaneSet>(
                 p += 4;
                 let (w, sw) = ((imm & 0x7f) as u32, ((imm >> 7) & 0x7f) as u32);
                 let mw = (imm >> 14) as u32;
-                if L::ONE {
-                    let tv = bin1(opv, arena[a], arena[bs], w, sw);
-                    arena[t] = tv;
-                    arena[d] = tv & top_word_mask(mw);
-                } else {
-                    {
-                        let (src, dt) = arena.split_at_mut(t * nl);
-                        lanes.for_each_chunk(|s, n| {
-                            vbin(
-                                isa,
-                                opv,
-                                &mut dt[s..s + n],
-                                &src[a * nl + s..][..n],
-                                &src[bs * nl + s..][..n],
-                                w,
-                                sw,
-                            );
-                        });
-                    }
-                    let (src, dd) = arena.split_at_mut(d * nl);
+                {
+                    let (src, dt) = arena.split_at_mut(t * nl);
                     lanes.for_each_chunk(|s, n| {
-                        vzext(isa, &mut dd[s..s + n], &src[t * nl + s..][..n], mw);
+                        vbin(
+                            isa,
+                            opv,
+                            &mut dt[s..s + n],
+                            &src[a * nl + s..][..n],
+                            &src[bs * nl + s..][..n],
+                            w,
+                            sw,
+                        );
                     });
                 }
+                let (src, dd) = arena.split_at_mut(d * nl);
+                lanes.for_each_chunk(|s, n| {
+                    vzext(isa, &mut dd[s..s + n], &src[t * nl + s..][..n], mw);
+                });
             }
             op::MUX2 => {
                 let (t, sel1, a, bb, d, sel2, cc) = (
@@ -1905,46 +2144,67 @@ pub(crate) fn exec_code<L: LaneSet>(
                 );
                 p += 7;
                 let pol = imm & 1;
-                if L::ONE {
-                    let tv = if arena[sel1] & 1 == 1 {
-                        arena[a]
-                    } else {
-                        arena[bb]
-                    };
-                    arena[t] = tv;
-                    let sv = arena[sel2] & 1 == 1;
-                    arena[d] = if (pol == 0) == sv { tv } else { arena[cc] };
-                } else {
-                    {
-                        let (src, dt) = arena.split_at_mut(t * nl);
-                        lanes.for_each_chunk(|s, n| {
-                            vmux(
-                                isa,
-                                &mut dt[s..s + n],
-                                &src[sel1 * nl + s..][..n],
-                                &src[a * nl + s..][..n],
-                                &src[bb * nl + s..][..n],
-                            );
-                        });
-                    }
-                    // The second select's sides, by polarity: `pol = 0`
-                    // keeps `t` on the true side, `pol = 1` flips it.
-                    let (pt, pf) = if pol == 0 { (t, cc) } else { (cc, t) };
-                    let (src, dd) = arena.split_at_mut(d * nl);
+                {
+                    let (src, dt) = arena.split_at_mut(t * nl);
                     lanes.for_each_chunk(|s, n| {
                         vmux(
                             isa,
-                            &mut dd[s..s + n],
-                            &src[sel2 * nl + s..][..n],
-                            &src[pt * nl + s..][..n],
-                            &src[pf * nl + s..][..n],
+                            &mut dt[s..s + n],
+                            &src[sel1 * nl + s..][..n],
+                            &src[a * nl + s..][..n],
+                            &src[bb * nl + s..][..n],
                         );
                     });
                 }
+                // The second select's sides, by polarity: `pol = 0`
+                // keeps `t` on the true side, `pol = 1` flips it.
+                let (pt, pf) = if pol == 0 { (t, cc) } else { (cc, t) };
+                let (src, dd) = arena.split_at_mut(d * nl);
+                lanes.for_each_chunk(|s, n| {
+                    vmux(
+                        isa,
+                        &mut dd[s..s + n],
+                        &src[sel2 * nl + s..][..n],
+                        &src[pt * nl + s..][..n],
+                        &src[pf * nl + s..][..n],
+                    );
+                });
             }
+            // Runs form in one-lane code only, and the guard is a
+            // constant: a gang's dispatch has no run arms at all (the
+            // module docs, *Bytecode*, have what they cost it).
+            run if L::ONE && is_run(run) => match run & !op::RUN {
+                op::NOT1 => run!(imm, u1!(UnOp::Not, lead!())),
+                op::NEG1 => run!(imm, u1!(UnOp::Neg, lead!())),
+                op::REDAND1 => run!(imm, u1!(UnOp::RedAnd, lead!())),
+                op::REDOR1 => run!(imm, u1!(UnOp::RedOr, lead!())),
+                op::REDXOR1 => run!(imm, u1!(UnOp::RedXor, lead!())),
+                op::AND1 => run!(imm, b1!(BinOp::And, lead!())),
+                op::OR1 => run!(imm, b1!(BinOp::Or, lead!())),
+                op::XOR1 => run!(imm, b1!(BinOp::Xor, lead!())),
+                op::ADD1 => run!(imm, b1!(BinOp::Add, lead!())),
+                op::SUB1 => run!(imm, b1!(BinOp::Sub, lead!())),
+                op::MUL1 => run!(imm, b1!(BinOp::Mul, lead!())),
+                op::EQ1 => run!(imm, b1!(BinOp::Eq, lead!())),
+                op::NE1 => run!(imm, b1!(BinOp::Ne, lead!())),
+                op::LTU1 => run!(imm, b1!(BinOp::LtU, lead!())),
+                op::LTS1 => run!(imm, b1!(BinOp::LtS, lead!())),
+                op::LEU1 => run!(imm, b1!(BinOp::LeU, lead!())),
+                op::LES1 => run!(imm, b1!(BinOp::LeS, lead!())),
+                op::SHL1 => run!(imm, b1!(BinOp::Shl, lead!())),
+                op::LSHR1 => run!(imm, b1!(BinOp::Lshr, lead!())),
+                op::ASHR1 => run!(imm, b1!(BinOp::Ashr, lead!())),
+                op::MUX1 => run!(imm, mux1!()),
+                op::SLICE1 => run!(imm, slice1!(lead!())),
+                op::ZEXT1 => run!(imm, zext1!(lead!())),
+                op::SEXT1 => run!(imm, sext1!(lead!())),
+                op::CONCAT1 => run!(imm, concat1!(lead!())),
+                other => unreachable!("no runs of opcode {other}"),
+            },
             other => unreachable!("unknown opcode {other}"),
         }
     }
+    debug_assert_eq!(p, args.len(), "operand cursor out of sync");
 }
 
 /// Folds a multi-word index operand of lane `l` out of a strided buffer
@@ -2069,6 +2329,7 @@ pub(crate) fn compute_phase<L: LaneSet>(
         ..
     } = tile;
     let nl = L::width(*nl);
+    let (arena, reg_cur) = (&arena[..], &mut reg_cur[..]);
     // Latch own registers, every active lane: tile-local, nobody else
     // reads them. Finished lanes keep their last latched values forever.
     for rc in &prog.commits {
@@ -2266,7 +2527,7 @@ fn offchip_flush<L: LaneSet>(
     mask: &[u64],
 ) {
     let write_parity = ((c & 1) ^ 1) as usize;
-    let arena = &tile.arena;
+    let arena = &tile.arena[..];
     let nl = L::width(tile.lanes);
     for send in &prog.offchip_sends {
         push_reg_send(send, arena, nl, channels, lanes, write_parity);
@@ -2748,32 +3009,30 @@ impl<'c> EngineCore<'c> {
             .map(|(pi, prog)| {
                 let aw = prog.arena_words;
                 let rw = tile_reg_words[pi] as usize;
-                let mut arena = vec![0u64; aw * lanes];
-                let mut reg_cur = vec![0u64; rw * lanes + tile_reg_packed[pi] as usize * pw];
-                for l in 0..lanes {
-                    for (off, words) in &prog.const_init {
-                        for (k, &w) in words.iter().enumerate() {
-                            arena[(*off as usize + k) * lanes + l] = w;
-                        }
-                    }
-                    for (ri, home) in reg_home.iter().enumerate() {
-                        if home.tile == pi as u32 && !home.packed {
-                            for (k, &w) in circuit.regs[ri].init.words().iter().enumerate() {
-                                reg_cur[(home.off as usize + k) * lanes + l] = w;
-                            }
-                        }
+                let mut arena_buf = TileBuf::zeroed(aw * lanes);
+                let mut reg_buf = TileBuf::zeroed(rw * lanes + tile_reg_packed[pi] as usize * pw);
+                let (arena, reg_cur) = (&mut arena_buf[..], &mut reg_buf[..]);
+                // Every lane starts from the same constants and register
+                // inits: each word fills its lane row.
+                for (off, words) in &prog.const_init {
+                    for (k, &w) in words.iter().enumerate() {
+                        arena[(*off as usize + k) * lanes..][..lanes].fill(w);
                     }
                 }
-                // Packed registers: the init bit broadcast to every lane.
                 for (ri, home) in reg_home.iter().enumerate() {
-                    if home.tile == pi as u32 && home.packed {
-                        let word = if circuit.regs[ri].init.words()[0] & 1 == 1 {
-                            u64::MAX
-                        } else {
-                            0
-                        };
+                    if home.tile != pi as u32 {
+                        continue;
+                    }
+                    let init = circuit.regs[ri].init.words();
+                    if home.packed {
+                        // The init bit broadcast to every lane.
+                        let word = if init[0] & 1 == 1 { u64::MAX } else { 0 };
                         let d = rw * lanes + home.off as usize * pw;
                         reg_cur[d..d + pw].fill(word);
+                    } else {
+                        for (k, &w) in init.iter().enumerate() {
+                            reg_cur[(home.off as usize + k) * lanes..][..lanes].fill(w);
+                        }
                     }
                 }
                 let mut arr_words = Vec::new();
@@ -2801,9 +3060,9 @@ impl<'c> EngineCore<'c> {
                     }
                 }
                 Mutex::new(LaneTile {
-                    arena,
+                    arena: arena_buf,
                     packed: packed_buf,
-                    reg_cur,
+                    reg_cur: reg_buf,
                     arrays,
                     rw,
                     arr_words,
@@ -3173,9 +3432,9 @@ impl<'c> EngineCore<'c> {
             .map(|t| {
                 let t = t.lock().unwrap();
                 TileState {
-                    arena: t.arena.clone(),
+                    arena: t.arena.to_vec(),
                     packed: t.packed.clone(),
-                    reg_cur: t.reg_cur.clone(),
+                    reg_cur: t.reg_cur.to_vec(),
                     arrays: t.arrays.clone(),
                 }
             })
@@ -4228,9 +4487,9 @@ mod tests {
     /// A scratch lane-strided tile with no registers or arrays.
     fn scratch_tile(lanes: usize, astride: usize) -> LaneTile {
         LaneTile {
-            arena: vec![0u64; lanes * astride],
+            arena: TileBuf::zeroed(lanes * astride),
             packed: Vec::new(),
-            reg_cur: Vec::new(),
+            reg_cur: TileBuf::zeroed(0),
             arrays: Vec::new(),
             rw: 0,
             arr_words: Vec::new(),
@@ -4291,7 +4550,7 @@ mod tests {
         nw: usize,
         lanes: usize,
     ) {
-        let code = Code::lower(std::slice::from_ref(step));
+        let code = Code::lower(std::slice::from_ref(step), false);
         assert_eq!(code.ops.len(), 1, "one step lowers to one instruction");
         assert_ne!(
             (code.ops[0] & 0xff) as u8,
@@ -4322,6 +4581,106 @@ mod tests {
         }
     }
 
+    /// A step of the exhaustive cross-check (operands at offsets below
+    /// 4, destination word 4) and the per-lane seeding of its operands.
+    type RunCase = (Step, Box<dyn Fn(usize, &mut [u64])>);
+
+    /// `step` with every arena offset moved up by `base`.
+    fn relocated(step: &Step, base: u32) -> Step {
+        let mut step = step.clone();
+        match &mut step {
+            Step::Un { dst, a, .. }
+            | Step::Slice { dst, a, .. }
+            | Step::Zext { dst, a, .. }
+            | Step::Sext { dst, a, .. } => {
+                for off in [dst, a] {
+                    *off += base;
+                }
+            }
+            Step::Bin { dst, a, b, .. } => {
+                for off in [dst, a, b] {
+                    *off += base;
+                }
+            }
+            Step::Concat { dst, hi, lo, .. } => {
+                for off in [dst, hi, lo] {
+                    *off += base;
+                }
+            }
+            Step::Mux { dst, sel, t, f, .. } => {
+                for off in [dst, sel, t, f] {
+                    *off += base;
+                }
+            }
+            other => unreachable!("not a fused single-word step: {other:?}"),
+        }
+        step
+    }
+
+    /// The batched half of the exhaustive cross-check: per opcode, the
+    /// cases execute again as one-lane **runs** of 1, 2, 3 and 17
+    /// elements — walked with a stride, so the neighbours inside a run
+    /// differ in width and operands — each element in its own arena
+    /// window, and every destination must match [`eval_op`].
+    fn check_runs(cases: &[RunCase]) {
+        const WIN: usize = 8;
+        let mut by_opc: BTreeMap<u8, Vec<&RunCase>> = BTreeMap::new();
+        for case in cases {
+            let code = Code::lower(std::slice::from_ref(&case.0), false);
+            by_opc
+                .entry((code.ops[0] & 0xff) as u8)
+                .or_default()
+                .push(case);
+        }
+        assert_eq!(by_opc.len(), 25, "every fused single-word opcode has cases");
+        for (opc, group) in by_opc {
+            let stride = if group.len() % 37 == 0 { 41 } else { 37 };
+            let mut walk = (0..group.len()).map(|i| group[i * stride % group.len()]);
+            let mut mixed = false;
+            for len in [1usize, 2, 3, 17].into_iter().cycle() {
+                let elems: Vec<&RunCase> = walk.by_ref().take(len).collect();
+                if elems.is_empty() {
+                    break;
+                }
+                let steps: Vec<Step> = elems
+                    .iter()
+                    .enumerate()
+                    .map(|(j, case)| relocated(&case.0, (j * WIN) as u32))
+                    .collect();
+                let code = Code::lower(&steps, true);
+                let n = elems.len() as u32;
+                if n == 1 {
+                    assert_eq!(code.ops.len(), 1, "a lone instruction stays itself");
+                    assert_eq!((code.ops[0] & 0xff) as u8, opc);
+                } else {
+                    assert_eq!(
+                        code.ops,
+                        [(op::RUN | opc) as u32 | n << 8],
+                        "one run of {n}"
+                    );
+                    let mut widths = code.args.chunks(argc(op::RUN | opc)).map(|e| e[0]);
+                    let first = widths.next().unwrap();
+                    mixed |= opc != op::MUX1 && widths.any(|w| w != first);
+                }
+                let mut tile = scratch_tile(1, WIN * elems.len());
+                for (j, case) in elems.iter().enumerate() {
+                    (case.1)(j, &mut tile.arena[j * WIN..][..WIN]);
+                }
+                let mut expect = tile.arena.to_vec();
+                exec_code(&code, &mut tile, &[], &[], 0, OneLane, VecIsa::Scalar);
+                for step in &steps {
+                    eval_op(&mut expect, step);
+                }
+                assert_eq!(tile.arena[..], expect, "run of {n} diverged: {steps:?}");
+            }
+            assert!(
+                mixed || opc == op::MUX1,
+                "{}: no mixed-width run",
+                opcode_name(opc)
+            );
+        }
+    }
+
     /// Every fused single-word opcode — all 15 binary kernels, all 5
     /// unary kernels, mux/slice/zext/sext/concat — must agree with the
     /// slice-kernel evaluator on every width and operand pattern, in
@@ -4329,6 +4688,9 @@ mod tests {
     /// exhaustive cross-check one level up, through the bytecode).
     #[test]
     fn fused_opcodes_match_slice_kernels_exhaustively() {
+        // Every step checked on its own below runs a second time inside
+        // a run (`check_runs`, at the end).
+        let mut cases: Vec<RunCase> = Vec::new();
         let widths = [1u32, 5, 31, 32, 33, 63, 64];
         let vals = [0u64, 1, 2, 0x5a5a_5a5a, u64::MAX, 1 << 31, (1 << 31) - 1];
         let bins = [
@@ -4387,6 +4749,7 @@ mod tests {
                             arena[1] = rb.rotate_right(l as u32) & m;
                         };
                         check_step(&step, &setup, 4, 1);
+                        cases.push((step, Box::new(setup)));
                         let _ = vi;
                     }
                 }
@@ -4408,6 +4771,7 @@ mod tests {
                         arena[0] = ra.rotate_left(l as u32) & m;
                     };
                     check_step(&step, &setup, 4, 1);
+                    cases.push((step, Box::new(setup)));
                 }
                 // Mux: both selector polarities.
                 for sel in [0u64, 1] {
@@ -4426,6 +4790,7 @@ mod tests {
                         arena[2] = sel ^ (l as u64 & 1);
                     };
                     check_step(&step, &setup, 4, 1);
+                    cases.push((step, Box::new(setup)));
                 }
                 // Slice at several offsets within the word.
                 for lo in [0u32, 1, w / 2, w - 1] {
@@ -4442,6 +4807,7 @@ mod tests {
                         arena[0] = ra.rotate_left(l as u32) & m;
                     };
                     check_step(&step, &setup, 4, 1);
+                    cases.push((step, Box::new(setup)));
                 }
                 // Zero/sign extension to every wider single-word width.
                 for &wide in widths.iter().filter(|&&x| x >= w) {
@@ -4467,6 +4833,7 @@ mod tests {
                             arena[0] = ra.rotate_left(l as u32) & m;
                         };
                         check_step(&step, &setup, 4, 1);
+                        cases.push((step, Box::new(setup)));
                     }
                 }
                 // Concat with every low width that keeps one word.
@@ -4486,9 +4853,11 @@ mod tests {
                         arena[1] = (!ra) & top_word_mask(lw);
                     };
                     check_step(&step, &setup, 4, 1);
+                    cases.push((step, Box::new(setup)));
                 }
             }
         }
+        check_runs(&cases);
     }
 
     /// Multi-word steps must take the `WIDE` fallback and still match
@@ -4505,7 +4874,7 @@ mod tests {
             anw: 2,
             bnw: 2,
         };
-        let code = Code::lower(std::slice::from_ref(&step));
+        let code = Code::lower(std::slice::from_ref(&step), false);
         assert_eq!((code.ops[0] & 0xff) as u8, op::WIDE);
         assert_eq!(code.wide.len(), 1);
         let astride = 16usize;
@@ -4559,7 +4928,7 @@ mod tests {
                 nw: 1,
             },
         ];
-        let code = Code::lower(&steps);
+        let code = Code::lower(&steps, false);
         assert_eq!(
             code.disasm(),
             vec![
@@ -4570,11 +4939,98 @@ mod tests {
         );
     }
 
-    /// Golden lowering of a real compiled program: a sampled circuit
-    /// must lower to exactly this opcode stream (fused scalar opcodes,
-    /// coalesced input copies, a wide fallback for the 80-bit cone).
+    /// A tile buffer starts on a 128-byte boundary and owns its last
+    /// line pair whole, whatever its length.
     #[test]
-    fn golden_program_lowering() {
+    fn tile_bufs_own_whole_line_pairs() {
+        for words in [0usize, 1, 15, 16, 17, 1000] {
+            let b = TileBuf::zeroed(words);
+            assert_eq!(b.len(), words);
+            assert!(b.iter().all(|&w| w == 0));
+            assert_eq!(b.as_ptr() as usize % 128, 0);
+            let lead = (b.as_ptr() as usize - b._store.as_ptr() as usize) / 8;
+            assert!(lead + words.next_multiple_of(16) <= b._store.len());
+        }
+    }
+
+    /// `Code::validate` is what makes the hot loop's unchecked operand
+    /// reads sound, so it must reject a run that claims one element
+    /// more than the operand stream holds — at lowering time, never
+    /// reaching the loop.
+    #[test]
+    #[should_panic(expected = "operand stream out of sync")]
+    fn validate_rejects_a_run_longer_than_its_operands() {
+        let and = |k: u32| Step::Bin {
+            op: BinOp::And,
+            dst: 8 + k,
+            a: 2 * k,
+            b: 2 * k + 1,
+            w: 8,
+            aw: 8,
+            anw: 1,
+            bnw: 1,
+        };
+        let mut code = Code::lower(&[and(0), and(1), and(2)], true);
+        assert_eq!(code.ops, [(op::RUN | op::AND1) as u32 | 3 << 8]);
+        code.validate();
+        code.ops[0] += 1 << 8;
+        code.validate();
+    }
+
+    /// Runs collapse only neighbours of the same run opcode, and only
+    /// when asked to: a gang lowering of the same steps keeps one
+    /// instruction per step.
+    #[test]
+    fn runs_form_across_widths_and_stop_at_other_opcodes() {
+        let bin = |o: BinOp, k: u32, w: u32| Step::Bin {
+            op: o,
+            dst: 8 + k,
+            a: 0,
+            b: 1,
+            w,
+            aw: w,
+            anw: 1,
+            bnw: 1,
+        };
+        let steps = [
+            bin(BinOp::Add, 0, 8),
+            bin(BinOp::Add, 1, 32),
+            bin(BinOp::Xor, 2, 32),
+            bin(BinOp::Add, 3, 8),
+            Step::RegOwn {
+                dst: 12,
+                src: 0,
+                nw: 1,
+            },
+            Step::RegOwn {
+                dst: 13,
+                src: 4,
+                nw: 1,
+            },
+        ];
+        let runs = Code::lower(&steps, true);
+        assert_eq!(
+            runs.disasm(),
+            [
+                "add1 dst=8 a=0 b=1 w=8 aw=8",
+                "+ add1 dst=9 a=0 b=1 w=32 aw=32",
+                "xor1 dst=10 a=0 b=1 w=32 aw=32",
+                "add1 dst=11 a=0 b=1 w=8 aw=8",
+                "regown dst=12 src=0 nw=1",
+                "regown dst=13 src=4 nw=1",
+            ]
+        );
+        assert_eq!(runs.ops.len(), 5);
+        let gang = Code::lower(&steps, false);
+        assert_eq!(gang.ops.len(), 6);
+        assert!(gang.ops.iter().all(|&o| !is_run((o & 0xff) as u8)));
+        assert_eq!(runs.op_mix(), gang.op_mix());
+    }
+
+    /// The sampled circuit of the golden tests: fused scalar kernels,
+    /// coalescable input copies, an 80-bit cone for the wide fallback,
+    /// and two slices that are neighbours in node-id order.
+    fn golden_circuit() -> Circuit {
         let mut b = Builder::new("golden");
         let x = b.input("x", 32);
         let y = b.input("y", 32);
@@ -4582,29 +5038,71 @@ mod tests {
         let r = b.reg("r", 32, 1);
         let s = b.add(x, y);
         let m = b.mul(s, r.q());
+        let t = b.add(m, y);
         let n = b.not(wi);
         let lo = b.slice(m, 7, 0);
+        let hi = b.slice(t, 15, 8);
         b.output("lo", lo);
+        b.output("hi", hi);
         b.output("wn", n);
         b.connect(r, m);
-        let c = b.finish().unwrap();
-        let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
-        let compiled = Compiled::new(&c, &comp.partition, 1, false);
-        assert_eq!(compiled.programs.len(), 1);
-        let got = compiled.programs[0].code.disasm();
-        let want: Vec<String> = GOLDEN.iter().map(|s| s.to_string()).collect();
-        assert_eq!(got, want, "golden opcode stream changed");
+        b.finish().unwrap()
     }
 
-    /// The expected stream for `golden_program_lowering` (update
+    /// The golden circuit's one tile program, lowered for `lanes`.
+    fn golden_code(lanes: usize) -> Code {
+        let c = golden_circuit();
+        let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
+        let compiled = Compiled::new(&c, &comp.partition, lanes, false);
+        assert_eq!(compiled.programs.len(), 1);
+        compiled.programs[0].code.clone()
+    }
+
+    /// Golden lowering of a real compiled program. A gang's stream is
+    /// instruction for instruction what the lowering produced before
+    /// runs existed — node-id order, and the two neighbouring slices
+    /// stay two instructions; the one-lane stream is the opcode
+    /// schedule, with the slices collapsed into one run.
+    #[test]
+    fn golden_program_lowering() {
+        let want = |lines: &[&str]| lines.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let gang = golden_code(4);
+        assert_eq!(
+            gang.disasm(),
+            want(GOLDEN_GANG),
+            "gang opcode stream changed"
+        );
+        assert!(gang.ops.iter().all(|&o| !is_run((o & 0xff) as u8)));
+        let one = golden_code(1);
+        assert_eq!(
+            one.disasm(),
+            want(GOLDEN_ONE),
+            "one-lane opcode stream changed"
+        );
+        assert_eq!(one.ops.len(), 7, "eight operations, seven dispatches");
+    }
+
+    /// The expected streams for `golden_program_lowering` (update
     /// deliberately when the lowering or node ordering changes).
-    const GOLDEN: &[&str] = &[
+    const GOLDEN_GANG: &[&str] = &[
         "input dst=0 src=0 nw=4",
         "regown dst=4 src=0 nw=1",
         "add1 dst=5 a=0 b=1 w=32 aw=32",
         "mul1 dst=6 a=5 b=4 w=32 aw=32",
+        "add1 dst=7 a=6 b=1 w=32 aw=32",
         "wide[0] un Not",
-        "slice1 dst=9 a=6 lo=0 w=8",
+        "slice1 dst=10 a=6 lo=0 w=8",
+        "slice1 dst=11 a=7 lo=8 w=8",
+    ];
+    const GOLDEN_ONE: &[&str] = &[
+        "input dst=0 src=0 nw=4",
+        "regown dst=4 src=0 nw=1",
+        "add1 dst=5 a=0 b=1 w=32 aw=32",
+        "mul1 dst=6 a=5 b=4 w=32 aw=32",
+        "add1 dst=7 a=6 b=1 w=32 aw=32",
+        "slice1 dst=8 a=7 lo=8 w=8",
+        "+ slice1 dst=9 a=6 lo=0 w=8",
+        "wide[0] un Not",
     ];
 
     /// Lowers one step with its operands seeded into the packed domain
@@ -4626,7 +5124,7 @@ mod tests {
             need_strided: vec![dst as u32],
             need_packed: Vec::new(),
         };
-        let lowered = Code::lower_packed(std::slice::from_ref(step), &plan);
+        let lowered = Code::lower_packed(std::slice::from_ref(step), &plan, false);
         // The whole program is an input/preset cone here, so the
         // lowering may split it between the run-invariant prelude and
         // the per-cycle body; both streams must stay packed-only.
@@ -4978,7 +5476,7 @@ mod tests {
         dst: usize,
         nw: usize,
     ) {
-        let code = Code::lower(steps);
+        let code = Code::lower(steps, false);
         let wantv: Vec<String> = want.iter().map(|s| s.to_string()).collect();
         assert_eq!(code.disasm(), wantv, "fused lowering changed for {steps:?}");
         let astride = 16usize;
@@ -5075,7 +5573,7 @@ mod tests {
             w: 8,
             anw: 1,
         };
-        let code = Code::lower(&[lshr, off_slice]);
+        let code = Code::lower(&[lshr, off_slice], false);
         assert_eq!(code.ops.len(), 2, "lo != 0 must not fuse");
     }
 
@@ -5146,45 +5644,42 @@ mod tests {
             nw: 1,
             w: 9,
         };
-        let code = Code::lower(&[m1, m2x]);
+        let code = Code::lower(&[m1, m2x], false);
         assert_eq!(code.ops.len(), 2, "independent muxes must not fuse");
     }
 
     /// The opcode/width histogram must pin exact counts on the golden
-    /// program, and the pair histogram must see the adjacent fused
-    /// kernels (the data the deeper-fusion decisions are read from).
+    /// program — simulated operations, so a run counts per element and
+    /// both lowerings agree — while the pair histogram and the run
+    /// lengths see dispatched instructions.
     #[test]
     fn code_histogram_pins_golden_counts() {
-        let mut b = Builder::new("hist");
-        let x = b.input("x", 32);
-        let y = b.input("y", 32);
-        let wi = b.input("wi", 80);
-        let r = b.reg("r", 32, 1);
-        let s = b.add(x, y);
-        let m = b.mul(s, r.q());
-        let n = b.not(wi);
-        let lo = b.slice(m, 7, 0);
-        b.output("lo", lo);
-        b.output("wn", n);
-        b.connect(r, m);
-        let c = b.finish().unwrap();
-        let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
-        let compiled = Compiled::new(&c, &comp.partition, 1, false);
-        let mut h = std::collections::BTreeMap::new();
-        compiled.programs[0].code.histogram(&mut h);
         let want: Vec<((&str, u32), u64)> = vec![
-            (("add1", 32), 1),
+            (("add1", 32), 2),
             (("input", 4), 1),
             (("mul1", 32), 1),
             (("regown", 1), 1),
-            (("slice1", 8), 1),
+            (("slice1", 8), 2),
             (("wide", 0), 1),
         ];
-        assert_eq!(h.into_iter().collect::<Vec<_>>(), want);
-        let mut p = std::collections::BTreeMap::new();
-        compiled.programs[0].code.pair_histogram(&mut p);
-        assert_eq!(p[&("add1", "mul1")], 1);
-        assert_eq!(p.values().sum::<u64>(), 5, "N ops yield N-1 pairs");
+        for (lanes, dispatches, runs) in [(1, 7, vec![(1, 3), (2, 1)]), (4, 8, vec![(1, 5)])] {
+            let code = golden_code(lanes);
+            let mut h = BTreeMap::new();
+            code.histogram(&mut h);
+            assert_eq!(h.into_iter().collect::<Vec<_>>(), want, "lanes={lanes}");
+            assert_eq!(code.op_mix(), (8, 0), "lanes={lanes}");
+            let mut p = BTreeMap::new();
+            code.pair_histogram(&mut p);
+            assert_eq!(p[&("add1", "mul1")], 1);
+            assert_eq!(
+                p.values().sum::<u64>(),
+                dispatches - 1,
+                "N dispatches, N-1 pairs"
+            );
+            let mut r = BTreeMap::new();
+            code.run_lengths(&mut r);
+            assert_eq!(r.into_iter().collect::<Vec<_>>(), runs, "lanes={lanes}");
+        }
     }
 
     /// Packed copies of the same source block must land once: later
@@ -5208,7 +5703,7 @@ mod tests {
             need_strided: Vec::new(),
             need_packed: Vec::new(),
         };
-        let lowered = Code::lower_packed(&steps, &plan);
+        let lowered = Code::lower_packed(&steps, &plan, false);
         // The input copy is run-invariant, so it hoists to the prelude
         // (and takes the first packed slot); the register copies stay
         // per-cycle, the second aliasing the first.
@@ -5254,7 +5749,7 @@ mod tests {
             need_strided: vec![4, 5],
             need_packed: Vec::new(),
         };
-        let lowered = Code::lower_packed(&[and, or], &plan);
+        let lowered = Code::lower_packed(&[and, or], &plan, false);
         // Presets count as run-invariant, so this whole chain lands in
         // the prelude; the per-cycle body is empty.
         assert!(lowered.code.ops.is_empty(), "{:?}", lowered.code.disasm());

@@ -201,13 +201,16 @@ fn corrupted_snapshots_are_rejected() {
         Err(SnapshotError::BadMagic)
     ));
 
-    // Future format version.
-    let mut bad = bytes.clone();
-    bad[4] = 0xee;
-    assert!(matches!(
-        Snapshot::from_bytes(&bad),
-        Err(SnapshotError::BadVersion { .. })
-    ));
+    // Future format version, and the previous one (version 1 laid a
+    // one-lane arena out in node-id order).
+    for version in [0xee, 1] {
+        let mut bad = bytes.clone();
+        bad[4] = version;
+        assert!(matches!(
+            Snapshot::from_bytes(&bad),
+            Err(SnapshotError::BadVersion { .. })
+        ));
+    }
 }
 
 /// A snapshot must refuse to restore into an engine of a different

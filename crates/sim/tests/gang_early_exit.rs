@@ -133,6 +133,42 @@ fn finished_lane_freezes_and_survivors_keep_matching() {
     assert_eq!(ph.lanes, 1);
 }
 
+/// A one-lane gang whose only lane has retired keeps running: the cycle
+/// counter advances and the lane's state stays frozen, inline and on
+/// the worker pool. (One-lane code carries run instructions that only
+/// the one-lane dispatch decodes; an empty lane set must not reach it.)
+#[test]
+fn one_lane_gang_with_its_lane_retired_keeps_running() {
+    let c = random_circuit_io(21, 10, 50, 3);
+    let comp = compile(&c, &PartitionConfig::with_tiles(8)).expect("compiles");
+    let stim = lane_stim(&c, 1, 20);
+    let frozen = reference_lane(&c, &stim, 0, 20);
+    for threads in [1, 2] {
+        let mut gang = GangSimulator::new(&c, &comp.partition, threads, 1);
+        gang.run_stimulus(20, &stim);
+        gang.finish_lane(0);
+        assert_eq!(gang.active_lanes(), 0);
+        gang.run(3);
+        assert_eq!(gang.run_timed(4).lanes, 0);
+        assert_eq!(gang.cycle(), 27);
+        for i in 0..c.regs.len() {
+            assert_eq!(
+                gang.reg_value_lane(RegId(i as u32), 0),
+                frozen.reg_value(RegId(i as u32)),
+                "{threads} threads: reg {i} moved after the lane retired"
+            );
+        }
+        for o in &c.outputs {
+            assert_eq!(
+                gang.peek_output_lane(&o.name, 0).expect("output exists"),
+                frozen.output(&o.name).expect("output exists"),
+                "{threads} threads: output {} moved after the lane retired",
+                o.name
+            );
+        }
+    }
+}
+
 /// A gang wide enough for the AVX2 kernel instantiation (>= 16 lanes)
 /// whose survivors form runs of 3, 5, 5 and 3 consecutive lanes: every
 /// sweep goes through the wide instantiation on chunks shorter than

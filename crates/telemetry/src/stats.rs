@@ -28,11 +28,21 @@ pub struct PairCount {
 pub struct CodeStats {
     /// Tile programs aggregated.
     pub tiles: usize,
-    /// Total static instructions.
+    /// Total static **simulated operations**: a run instruction counts
+    /// once per element.
     pub total_ops: u64,
-    /// Opcode/width buckets, descending by count (ties by name).
+    /// Instructions the hot loop dispatches on (a run is one); equal to
+    /// `total_ops` when the code has no runs.
+    pub dispatches: u64,
+    /// Run-length histogram of the fused single-word instructions,
+    /// `(length, instructions)` ascending by length: a run under its
+    /// element count, an instruction left alone under 1.
+    pub run_lengths: Vec<(u32, u64)>,
+    /// Opcode/width buckets of the simulated operations, descending by
+    /// count (ties by name).
     pub opcodes: Vec<OpcodeCount>,
-    /// Adjacent pairs, descending by count (ties by name).
+    /// Adjacent pairs of dispatched instructions, descending by count
+    /// (ties by name).
     pub pairs: Vec<PairCount>,
 }
 
@@ -41,6 +51,8 @@ impl CodeStats {
     pub fn from_histograms(
         tiles: usize,
         total_ops: u64,
+        dispatches: u64,
+        run_lengths: impl IntoIterator<Item = (u32, u64)>,
         opcodes: impl IntoIterator<Item = ((String, u32), u64)>,
         pairs: impl IntoIterator<Item = ((String, String), u64)>,
     ) -> Self {
@@ -68,12 +80,24 @@ impl CodeStats {
                 .then_with(|| a.first.cmp(&b.first))
                 .then_with(|| a.second.cmp(&b.second))
         });
+        let mut run_lengths: Vec<(u32, u64)> = run_lengths.into_iter().collect();
+        run_lengths.sort_unstable();
         CodeStats {
             tiles,
             total_ops,
+            dispatches,
+            run_lengths,
             opcodes,
             pairs,
         }
+    }
+
+    /// Mean operations per fused single-word instruction (0 when the
+    /// code has none; 1 when it has no runs).
+    pub fn mean_run_length(&self) -> f64 {
+        let runs: u64 = self.run_lengths.iter().map(|&(_, c)| c).sum();
+        let elems: u64 = self.run_lengths.iter().map(|&(l, c)| l as u64 * c).sum();
+        elems as f64 / runs.max(1) as f64
     }
 
     /// The `n` most frequent opcode buckets.
@@ -96,6 +120,8 @@ mod tests {
         let s = CodeStats::from_histograms(
             4,
             100,
+            90,
+            vec![(3, 2), (1, 6)],
             vec![
                 (("and1".to_string(), 8), 5),
                 (("xor1".to_string(), 1), 9),
@@ -108,6 +134,9 @@ mod tests {
         );
         assert_eq!(s.tiles, 4);
         assert_eq!(s.total_ops, 100);
+        assert_eq!(s.dispatches, 90);
+        assert_eq!(s.run_lengths, [(1, 6), (3, 2)]);
+        assert_eq!(s.mean_run_length(), 1.5);
         let names: Vec<&str> = s.opcodes.iter().map(|o| o.name.as_str()).collect();
         assert_eq!(names, ["xor1", "add1", "and1"]);
         assert_eq!(s.top_opcodes(2).len(), 2);
