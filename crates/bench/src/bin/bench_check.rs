@@ -12,8 +12,8 @@
 //! (currently `pre_pr4.json`, the pre-unification engine,
 //! `post_pr5.json`, the packed-lane engine, `post_pr6.json`, the
 //! SIMD/word-interleaved engine, `post_pr7.json`, the pluggable
-//! off-chip transport engine with its `bsp-shm`/`bsp-tcp`-tagged
-//! fig10/fig17 rows, and `post_pr10.json`, the serve-daemon rows —
+//! off-chip transport engine with its `bsp-tcp`-tagged fig10/fig17
+//! rows, and `post_pr10.json`, the serve-daemon rows —
 //! `serve_load`'s cold/warm scenario throughput plus the traced
 //! `perf_report` point), or a single file named by
 //! `$PARENDI_BASELINE`. Rows match on `(bin, design, engine, packed,

@@ -20,9 +20,8 @@ use parendi_sim::{BspSimulator, GangSimulator, TransportChoice};
 /// The off-chip transport backends the measured section sweeps: the
 /// record `engine` tag and the backend. The in-process backend keeps
 /// the plain `bsp` tag so baselines stay comparable across PRs.
-const TRANSPORTS: [(&str, TransportChoice); 3] = [
+const TRANSPORTS: [(&str, TransportChoice); 2] = [
     ("bsp", TransportChoice::InProcess),
-    ("bsp-shm", TransportChoice::SharedMem),
     ("bsp-tcp", TransportChoice::Tcp),
 ];
 
@@ -139,7 +138,7 @@ fn main() {
         let mut cfg = PartitionConfig::with_tiles(per_chip * chips);
         cfg.tiles_per_chip = per_chip;
         let comp = compile(&circuit, &cfg).expect("host-scale compile");
-        // The same partition under every transport backend. All three
+        // The same partition under every transport backend. Both
         // must land on bit-identical outputs (checked below); the
         // in-process run provides the detailed phase row.
         let mut ph = None;

@@ -17,9 +17,8 @@ use parendi_sim::{BspSimulator, TransportChoice};
 /// The off-chip transport backends the measured section sweeps (the
 /// record `engine` tag and the backend); the in-process backend keeps
 /// the plain `bsp` tag so baselines stay comparable across PRs.
-const TRANSPORTS: [(&str, TransportChoice); 3] = [
+const TRANSPORTS: [(&str, TransportChoice); 2] = [
     ("bsp", TransportChoice::InProcess),
-    ("bsp-shm", TransportChoice::SharedMem),
     ("bsp-tcp", TransportChoice::Tcp),
 ];
 
@@ -88,7 +87,7 @@ fn main() {
         "strat", "offchipKiB", "comp/cyc", "onchip/cyc", "offchip/cyc", "kcyc/s"
     );
     let mut records = Vec::new();
-    // Per strategy: the kcyc/s triple across transport backends.
+    // Per strategy: kcyc/s per transport backend.
     let mut transport_rows: Vec<(&str, Vec<f64>)> = Vec::new();
     for (label, mc) in [
         ("pre", MultiChipStrategy::Pre),

@@ -9,11 +9,7 @@ use parendi_core::{compile, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_sim::{BspSimulator, TransportChoice};
 
-const BACKENDS: [TransportChoice; 3] = [
-    TransportChoice::InProcess,
-    TransportChoice::SharedMem,
-    TransportChoice::Tcp,
-];
+const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::Tcp];
 
 #[test]
 fn corpus_designs_credit_identical_bytes_on_every_backend() {

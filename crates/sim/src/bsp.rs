@@ -14,13 +14,13 @@
 //!
 //! Since the engine unification there is **no BSP-specific execution
 //! code**: [`BspSimulator`] is the `lanes == 1` instantiation of the
-//! lane-strided [`crate::exec::EngineCore`] shared with the
+//! lane-strided `exec::core::EngineCore` shared with the
 //! scenario-parallel gang engine ([`crate::gang::GangSimulator`]). The
 //! worker loop, the phase functions, the off-chip flush, and the unsafe
 //! epoch/aliasing discipline all live exactly once, in `crate::exec`;
 //! the compile front-end (per-tile fused bytecode, mailbox fabric,
-//! chip-major cost-balanced worker groups) lives in `crate::engine`. This module
-//! only adapts the lane-indexed core API to the classic single-scenario
+//! chip-major cost-balanced worker groups) lives in `crate::engine`.
+//! This module only adapts the lane-indexed core API to the classic single-scenario
 //! testbench surface and defines the public timing types.
 //!
 //! # Exchange architecture (executed by the core)
@@ -41,7 +41,7 @@
 //! [`BspPhases::overlap_s`]).
 //!
 //! The only synchronization in the steady-state loop is one
-//! publish-then-wait-on-neighbours per cycle (`engine::EpochSync`): a
+//! publish-then-wait-on-neighbours per cycle (`engine::sync::EpochSync`): a
 //! store to the worker's own cache line and acquire loads of its
 //! neighbours' — no locks are taken and no heap allocation occurs; a
 //! worker with no neighbours never waits. Per-tile
@@ -55,10 +55,13 @@
 //! [`Routing`]: parendi_core::routing::Routing
 //! [`Partition`]: parendi_core::Partition
 
-use crate::exec::EngineCore;
+use crate::engine::frontend::Compiled;
+use crate::exec::core::EngineCore;
+use crate::transport::TransportChoice;
 use parendi_core::Partition;
 use parendi_rtl::bits::Bits;
 use parendi_rtl::{Circuit, InputId, RegId};
+use parendi_telemetry::TraceConfig;
 
 /// One tile's phase seconds over a timed run (its share of the worker's
 /// loop bodies; neighbour waits are per-worker and excluded).
@@ -223,12 +226,7 @@ impl<'c> BspSimulator<'c> {
     ///
     /// Panics if `threads` is zero.
     pub fn new(circuit: &'c Circuit, partition: &Partition, threads: usize) -> Self {
-        Self::with_transport(
-            circuit,
-            partition,
-            threads,
-            crate::transport::TransportChoice::from_env(),
-        )
+        Self::with_transport(circuit, partition, threads, TransportChoice::from_env())
     }
 
     /// [`BspSimulator::new`] with an explicit off-chip transport
@@ -240,11 +238,15 @@ impl<'c> BspSimulator<'c> {
         circuit: &'c Circuit,
         partition: &Partition,
         threads: usize,
-        transport: crate::transport::TransportChoice,
+        transport: TransportChoice,
     ) -> Self {
-        BspSimulator {
-            core: EngineCore::with_transport(circuit, partition, threads, 1, false, transport),
-        }
+        Self::with_trace(
+            circuit,
+            partition,
+            threads,
+            transport,
+            TraceConfig::from_env(),
+        )
     }
 
     /// [`BspSimulator::with_transport`] with an explicit event-trace
@@ -257,11 +259,14 @@ impl<'c> BspSimulator<'c> {
         circuit: &'c Circuit,
         partition: &Partition,
         threads: usize,
-        transport: crate::transport::TransportChoice,
-        trace: parendi_telemetry::TraceConfig,
+        transport: TransportChoice,
+        trace: TraceConfig,
     ) -> Self {
+        let compiled = Compiled::new(circuit, partition, 1, false);
         BspSimulator {
-            core: EngineCore::with_trace(circuit, partition, threads, 1, false, transport, trace),
+            core: EngineCore::from_compiled(
+                circuit, partition, threads, compiled, transport, trace,
+            ),
         }
     }
 

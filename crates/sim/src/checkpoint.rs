@@ -26,7 +26,11 @@
 //!
 //! The payload starts with an engine **fingerprint** (circuit name,
 //! lane count, packed word count, layout word, and the exact word
-//! counts of every tile buffer, mailbox and the input buffer). The
+//! counts of every tile buffer, mailbox and the input buffer), and the
+//! state section is those buffers in the engine's one walk order
+//! (`exec::state_io`): each tile's arena, packed scratch, register file
+//! and array copies, then both parities of every mailbox, then the
+//! input buffer. The
 //! layout word is 1 for every gang — strided state is word-interleaved
 //! from two lanes up — and 0 at one lane; a gang snapshot carrying 0
 //! predates the single layout and is refused as a shape mismatch.
@@ -43,7 +47,7 @@
 //! snapshot is a crash-recovery artifact, not an archival format.
 //!
 //! Version 2: a one-lane engine allocates its arena slots in schedule
-//! order (see the *Schedule* section of [`crate::exec`]), so a version-1
+//! order (see `engine::frontend::schedule`), so a version-1
 //! one-lane arena — constants included — sits at different offsets,
 //! while the fingerprint compares only buffer *sizes* and would have
 //! let it through.
@@ -125,14 +129,10 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Word counts of one tile's buffers (fingerprint section).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct TileShape {
-    pub arena: u64,
-    pub packed: u64,
-    pub regs: u64,
-    pub arrays: Vec<u64>,
-}
+/// Buffers every tile owns ahead of its array copies: the arena, the
+/// packed scratch, the register file. Part of the format — a new
+/// per-tile buffer is a version bump.
+const TILE_FIXED_BUFS: usize = 3;
 
 /// The engine shape a snapshot was taken from. Restore refuses any
 /// mismatch — every field participates in equality.
@@ -144,10 +144,13 @@ pub(crate) struct Fingerprint {
     /// The format's layout word: `lanes >= 2` on every engine this
     /// build constructs (see the module docs).
     pub word_major: bool,
-    pub input_words: u64,
     pub onchip: u32,
-    pub channel_words: Vec<u64>,
-    pub tiles: Vec<TileShape>,
+    /// Array copies each tile holds (it owns `TILE_FIXED_BUFS` + that
+    /// many of the buffers below).
+    pub tile_arrays: Vec<u32>,
+    /// Word count of every stateful buffer, in walk order: each tile's
+    /// buffers, both parities of each mailbox, the input buffer.
+    pub buf_words: Vec<u64>,
 }
 
 impl Fingerprint {
@@ -177,15 +180,6 @@ impl Fingerprint {
     }
 }
 
-/// One tile's captured buffers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct TileState {
-    pub arena: Vec<u64>,
-    pub packed: Vec<u64>,
-    pub reg_cur: Vec<u64>,
-    pub arrays: Vec<Vec<u64>>,
-}
-
 /// A complete, restorable capture of an engine's mid-run state (see
 /// the module docs for the format and the guarantees).
 ///
@@ -198,10 +192,8 @@ pub(crate) struct TileState {
 pub struct Snapshot {
     pub(crate) fingerprint: Fingerprint,
     pub(crate) cycle: u64,
-    pub(crate) tiles: Vec<TileState>,
-    /// Both parities of every mailbox, in fabric order.
-    pub(crate) channels: Vec<[Vec<u64>; 2]>,
-    pub(crate) inputs: Vec<u64>,
+    /// The stateful buffers, in the order of `fingerprint.buf_words`.
+    pub(crate) bufs: Vec<Vec<u64>>,
     pub(crate) active: Vec<u32>,
     pub(crate) retired: Vec<u64>,
     /// Per lane: retire cycle, or [`RUNNING`] while active.
@@ -237,30 +229,31 @@ impl Snapshot {
         w.u32(fp.lanes);
         w.u32(fp.pw);
         w.u32(fp.word_major as u32);
-        w.u64(fp.input_words);
+        // Walk order is tiles, mailboxes (each parity), inputs; the
+        // format leads with the input and one-per-mailbox counts.
+        let tile_bufs: usize = fp
+            .tile_arrays
+            .iter()
+            .map(|&n| TILE_FIXED_BUFS + n as usize)
+            .sum();
+        let (tiles, rest) = fp.buf_words.split_at(tile_bufs);
+        let (mail, input) = rest.split_at(rest.len() - 1);
+        w.u64(input[0]);
         w.u32(fp.onchip);
-        w.u64_slice(&fp.channel_words);
-        w.u32(fp.tiles.len() as u32);
-        for t in &fp.tiles {
-            w.u64(t.arena);
-            w.u64(t.packed);
-            w.u64(t.regs);
-            w.u64_slice(&t.arrays);
+        w.u64_slice(&mail.iter().step_by(2).copied().collect::<Vec<_>>());
+        w.u32(fp.tile_arrays.len() as u32);
+        let mut tiles = tiles.iter();
+        for &n in &fp.tile_arrays {
+            for &fixed in tiles.by_ref().take(TILE_FIXED_BUFS) {
+                w.u64(fixed);
+            }
+            let arrays: Vec<u64> = tiles.by_ref().take(n as usize).copied().collect();
+            w.u64_slice(&arrays);
         }
         w.u64(self.cycle);
-        for t in &self.tiles {
-            w.words(&t.arena);
-            w.words(&t.packed);
-            w.words(&t.reg_cur);
-            for a in &t.arrays {
-                w.words(a);
-            }
+        for buf in &self.bufs {
+            w.words(buf);
         }
-        for bufs in &self.channels {
-            w.words(&bufs[0]);
-            w.words(&bufs[1]);
-        }
-        w.words(&self.inputs);
         w.u32(self.active.len() as u32);
         for &l in &self.active {
             w.u32(l);
@@ -312,48 +305,32 @@ impl Snapshot {
         let input_words = r.u64()?;
         let onchip = r.u32()?;
         let channel_words = r.u64_vec()?;
-        let ntiles = r.u32()? as usize;
-        let mut tiles_fp = Vec::with_capacity(ntiles);
-        for _ in 0..ntiles {
-            tiles_fp.push(TileShape {
-                arena: r.u64()?,
-                packed: r.u64()?,
-                regs: r.u64()?,
-                arrays: r.u64_vec()?,
-            });
+        let mut tile_arrays = Vec::new();
+        let mut buf_words = Vec::new();
+        for _ in 0..r.u32()? {
+            for _ in 0..TILE_FIXED_BUFS {
+                buf_words.push(r.u64()?);
+            }
+            let arrays = r.u64_vec()?;
+            tile_arrays.push(arrays.len() as u32);
+            buf_words.extend(arrays);
         }
+        buf_words.extend(channel_words.iter().flat_map(|&n| [n, n]));
+        buf_words.push(input_words);
         let fingerprint = Fingerprint {
             circuit,
             lanes,
             pw,
             word_major,
-            input_words,
             onchip,
-            channel_words,
-            tiles: tiles_fp,
+            tile_arrays,
+            buf_words,
         };
         let cycle = r.u64()?;
-        let mut tiles = Vec::with_capacity(ntiles);
-        for shape in &fingerprint.tiles {
-            let arena = r.words(shape.arena)?;
-            let packed = r.words(shape.packed)?;
-            let reg_cur = r.words(shape.regs)?;
-            let mut arrays = Vec::with_capacity(shape.arrays.len());
-            for &n in &shape.arrays {
-                arrays.push(r.words(n)?);
-            }
-            tiles.push(TileState {
-                arena,
-                packed,
-                reg_cur,
-                arrays,
-            });
+        let mut bufs = Vec::with_capacity(fingerprint.buf_words.len());
+        for &n in &fingerprint.buf_words {
+            bufs.push(r.words(n)?);
         }
-        let mut channels = Vec::with_capacity(fingerprint.channel_words.len());
-        for &n in &fingerprint.channel_words {
-            channels.push([r.words(n)?, r.words(n)?]);
-        }
-        let inputs = r.words(fingerprint.input_words)?;
         let nactive = r.u32()? as usize;
         let mut active = Vec::with_capacity(nactive);
         for _ in 0..nactive {
@@ -364,9 +341,7 @@ impl Snapshot {
         Ok(Snapshot {
             fingerprint,
             cycle,
-            tiles,
-            channels,
-            inputs,
+            bufs,
             active,
             retired,
             retired_at,
@@ -511,51 +486,34 @@ impl Reader<'_> {
 mod tests {
     use super::*;
 
+    /// Two tiles (one array, none), two mailboxes, three input words.
     fn sample() -> Snapshot {
+        let bufs: Vec<Vec<u64>> = vec![
+            (0..8).collect(),
+            vec![0xaa, 0x55],
+            (100..105).collect(),
+            vec![9, 8, 7, 6],
+            vec![1, 2],
+            vec![],
+            vec![3],
+            (0..6).collect(),
+            (6..12).collect(),
+            vec![7; 10],
+            vec![8; 10],
+            vec![11, 12, 13],
+        ];
         Snapshot {
             fingerprint: Fingerprint {
                 circuit: "rand7".into(),
                 lanes: 4,
                 pw: 1,
                 word_major: false,
-                input_words: 3,
                 onchip: 1,
-                channel_words: vec![6, 10],
-                tiles: vec![
-                    TileShape {
-                        arena: 8,
-                        packed: 2,
-                        regs: 5,
-                        arrays: vec![4],
-                    },
-                    TileShape {
-                        arena: 2,
-                        packed: 0,
-                        regs: 1,
-                        arrays: vec![],
-                    },
-                ],
+                tile_arrays: vec![1, 0],
+                buf_words: bufs.iter().map(|b| b.len() as u64).collect(),
             },
             cycle: 41,
-            tiles: vec![
-                TileState {
-                    arena: (0..8).collect(),
-                    packed: vec![0xaa, 0x55],
-                    reg_cur: (100..105).collect(),
-                    arrays: vec![vec![9, 8, 7, 6]],
-                },
-                TileState {
-                    arena: vec![1, 2],
-                    packed: vec![],
-                    reg_cur: vec![3],
-                    arrays: vec![],
-                },
-            ],
-            channels: vec![
-                [(0..6).collect(), (6..12).collect()],
-                [vec![7; 10], vec![8; 10]],
-            ],
-            inputs: vec![11, 12, 13],
+            bufs,
             active: vec![0, 1, 3],
             retired: vec![0b100],
             retired_at: vec![RUNNING, RUNNING, 17, RUNNING],
@@ -645,7 +603,7 @@ mod tests {
         c.circuit = "other".into();
         assert!(a.matches(&c).unwrap_err().to_string().contains("other"));
         let mut d = a.clone();
-        d.tiles[0].arena = 99;
+        d.buf_words[0] = 99;
         assert!(a.matches(&d).is_err());
     }
 

@@ -16,7 +16,7 @@
 //! files, array copies, mailbox buffers, the input buffer — is
 //! *lane-strided* (`lanes` copies of the single-lane layout,
 //! word-interleaved: word `w` of lane `l` at `w * lanes + l` — see the
-//! layout section of the core's module docs), and one dispatched
+//! layout rule in `exec::lanes`), and one dispatched
 //! bytecode instruction executes a tight inner loop over each word's
 //! dense lane row; for the dominant single-word case that loop is pure
 //! `u64` arithmetic through the same scalar kernels the
@@ -62,11 +62,14 @@
 //! [`Partition`]: parendi_core::Partition
 
 use crate::bsp::BspPhases;
-use crate::exec::EngineCore;
+use crate::engine::frontend::Compiled;
+use crate::exec::core::EngineCore;
 use crate::interp::Simulator;
+use crate::transport::TransportChoice;
 use parendi_core::Partition;
 use parendi_rtl::bits::Bits;
 use parendi_rtl::{Circuit, InputId, RegId};
+use parendi_telemetry::TraceConfig;
 use std::time::Instant;
 
 /// A scenario-parallel BSP simulator: `lanes` independent simulations
@@ -86,9 +89,8 @@ impl<'c> GangSimulator<'c> {
     ///
     /// Panics if `threads` or `lanes` is zero.
     pub fn new(circuit: &'c Circuit, partition: &Partition, threads: usize, lanes: usize) -> Self {
-        GangSimulator {
-            core: EngineCore::new(circuit, partition, threads, lanes, false),
-        }
+        let transport = TransportChoice::from_env();
+        Self::with_transport(circuit, partition, threads, lanes, false, transport)
     }
 
     /// Like [`new`](Self::new), but with an explicit off-chip transport
@@ -105,11 +107,10 @@ impl<'c> GangSimulator<'c> {
         threads: usize,
         lanes: usize,
         packed: bool,
-        transport: crate::transport::TransportChoice,
+        transport: TransportChoice,
     ) -> Self {
-        GangSimulator {
-            core: EngineCore::with_transport(circuit, partition, threads, lanes, packed, transport),
-        }
+        let trace = TraceConfig::from_env();
+        Self::with_trace(circuit, partition, threads, lanes, packed, transport, trace)
     }
 
     /// [`GangSimulator::with_transport`] with an explicit event-trace
@@ -127,12 +128,13 @@ impl<'c> GangSimulator<'c> {
         threads: usize,
         lanes: usize,
         packed: bool,
-        transport: crate::transport::TransportChoice,
-        trace: parendi_telemetry::TraceConfig,
+        transport: TransportChoice,
+        trace: TraceConfig,
     ) -> Self {
+        let compiled = Compiled::new(circuit, partition, lanes, packed);
         GangSimulator {
-            core: EngineCore::with_trace(
-                circuit, partition, threads, lanes, packed, transport, trace,
+            core: EngineCore::from_compiled(
+                circuit, partition, threads, compiled, transport, trace,
             ),
         }
     }
@@ -166,8 +168,8 @@ impl<'c> GangSimulator<'c> {
                 partition,
                 threads,
                 pre.compiled.clone(),
-                crate::transport::TransportChoice::from_env(),
-                parendi_telemetry::TraceConfig::from_env(),
+                TransportChoice::from_env(),
+                TraceConfig::from_env(),
             ),
         }
     }
@@ -251,9 +253,8 @@ impl<'c> GangSimulator<'c> {
         threads: usize,
         lanes: usize,
     ) -> Self {
-        GangSimulator {
-            core: EngineCore::new(circuit, partition, threads, lanes, true),
-        }
+        let transport = TransportChoice::from_env();
+        Self::with_transport(circuit, partition, threads, lanes, true, transport)
     }
 
     /// Whether this gang runs 1-bit state bit-packed across lanes.

@@ -28,9 +28,15 @@
 //! cataloged in `docs/ENVVARS.md` at the repository root.
 //!
 //! Both simulators are facades over one lane-strided execution core
-//! (`exec`, crate-private) that runs a fused, cache-compact bytecode —
-//! a single hot loop shared by every engine; the compile front-end and
-//! the `Step` → bytecode lowering live in `engine`.
+//! (`exec`, crate-private: one module each for the bytecode, its
+//! lowering, the lane sets, the hot loop, the phase functions, the
+//! engine object, state I/O and the run path) that runs a fused,
+//! cache-compact bytecode — a single hot loop shared by every engine;
+//! the compile front-end, the operator kernels and the epoch protocol
+//! live in `engine`. `docs/ENGINE.md` maps every module to the one
+//! decision it owns and the test that pins it. Off-chip traffic crosses
+//! a [`transport`] backend — in-process or TCP loopback, both ends in
+//! one process today.
 //!
 //! # Examples
 //!
@@ -59,6 +65,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bsp;
 pub mod checkpoint;

@@ -18,7 +18,7 @@
 //! results are bit-identical to a direct
 //! [`GangSimulator::new`](crate::GangSimulator::new) at the same shape.
 
-use crate::engine::Compiled;
+use crate::engine::frontend::Compiled;
 use parendi_core::Partition;
 use parendi_rtl::Circuit;
 

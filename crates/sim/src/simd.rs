@@ -19,7 +19,7 @@
 //! width already zero — the engine invariant) and produces normalized
 //! results.
 
-use crate::engine::{bin1, sext1, un1};
+use crate::engine::scalar::{bin1, sext1, un1};
 use parendi_rtl::bits::top_word_mask;
 use parendi_rtl::{BinOp, UnOp};
 

@@ -5,7 +5,7 @@
 //! pair aggregate per completed cycle).
 
 use super::{ChipTransport, Staging, TransportInit};
-use crate::engine::Mailbox;
+use crate::engine::sync::Mailbox;
 
 /// The default zero-copy backend (see the module docs).
 pub(crate) struct InProcess {

@@ -3,27 +3,30 @@
 //!
 //! The engine models a multi-chip machine (Parendi's m×b off-chip
 //! exchange) by aggregating every cross-chip channel into one wide
-//! mailbox per **ordered chip pair** (`engine.rs` lays them out after
-//! the on-chip per-tile-pair boxes). Historically those aggregates
-//! lived in the same address space as everything else, so the
-//! fig10/fig17 multi-IPU curves were measured over plain memcpys. This
-//! module puts the chip boundary behind [`ChipTransport`] so the same
-//! cycle loop can move the aggregates through a real memory-domain
-//! boundary:
+//! mailbox per **ordered chip pair** (`engine::frontend` lays them out
+//! after the on-chip per-tile-pair boxes). This module puts the chip
+//! boundary behind [`ChipTransport`] so the same cycle loop can move
+//! the aggregates through a real memory-domain boundary. Two backends:
 //!
-//! * [`TransportChoice::InProcess`] — the historical direct path:
-//!   producing tiles write straight into the consumer-side [`Mailbox`],
-//!   bit-exact and zero-copy. The default.
-//! * [`TransportChoice::SharedMem`] — producers write a **staging**
-//!   mailbox, and completed pair buffers are published through a
-//!   memory-mapped file on `/dev/shm` guarded by per-parity sequence
-//!   words. The mapping protocol is process-agnostic (a child process
-//!   can `ShmMap::open` the same path and exchange frames — see the
-//!   cross-process test in `shmem.rs`).
-//! * [`TransportChoice::Tcp`] — completed pair buffers travel as
-//!   length-prefixed frames over loopback sockets, one stream per
-//!   ordered pair, with a dedicated writer thread per pair so a worker
-//!   never blocks on a full socket buffer.
+//! * [`TransportChoice::InProcess`] — producing tiles write straight
+//!   into the consumer-side [`Mailbox`], bit-exact and zero-copy. The
+//!   default.
+//! * [`TransportChoice::Tcp`] — producers write a **staging** mailbox
+//!   and completed pair buffers travel as length-prefixed frames over
+//!   loopback sockets, one stream per ordered pair, with a dedicated
+//!   writer thread per pair so a worker never blocks on a full socket
+//!   buffer.
+//!
+//! **Both ends of every transport live in one process today**: the
+//! producers, the receivers and (for TCP) both socket ends belong to
+//! one engine's worker pool. TCP exercises the staged publish/receive
+//! protocol below and is the backend a multi-host engine would build
+//! on; inside one process a shared-memory segment only measured the
+//! in-process row again (sr3 @ 2 chips × 8 tiles, 2 threads: 128.2 k
+//! cycles/s both, TCP 24.5 k) and, spinning on its sequence words, was
+//! 7–10× the slowest of the three once workers outnumbered cores — so
+//! it was removed. It re-enters, rebuilt on [`Staging`], only when
+//! chips are separate processes.
 //!
 //! # Epoch discipline
 //!
@@ -31,12 +34,12 @@
 //! cycle `c` producers fill parity `(c+1) & 1` and consumers read
 //! parity `c & 1`; a consumer reads parity `(c+1) & 1` only after it
 //! has observed every neighbour's published epoch `c + 1` (the one
-//! per-cycle sync point, `engine::EpochSync`). A staged backend inserts
-//! a publish/receive hop inside the producer half of the cycle:
+//! per-cycle sync point, `engine::sync::EpochSync`). A staged backend
+//! inserts a publish/receive hop inside the producer half of the cycle:
 //!
-//! 1. each producing tile's [`offchip_flush`](crate::exec) writes its
-//!    send segments into the *staging* copy of the pair aggregate
-//!    (same layout, same parity);
+//! 1. each producing tile's off-chip flush writes its send segments
+//!    into the *staging* copy of the pair aggregate (same layout, same
+//!    parity);
 //! 2. [`ChipTransport::tile_flushed`] counts down the pair's producing
 //!    tiles; the worker that flushes the last tile publishes the whole
 //!    parity buffer as one frame (an `AcqRel` countdown makes every
@@ -48,20 +51,19 @@
 //!
 //! Every worker that touches a pair — its producers (who also share
 //! the countdown), its consumers and, staged, its receiving worker —
-//! is a neighbour of every other (`exec::fold_neighbors`), so none of
-//! them is ever more than one cycle ahead of another. Every publish
-//! precedes every receive wait within a worker, and a producer can
-//! start flushing cycle `c + 1` only after the receiver published epoch
-//! `c + 1`, i.e. after it landed frame `c`: that one-cycle-ahead bound
-//! keeps at most one frame in flight per pair (the next countdown
-//! cannot start before the last one re-armed, a shared-memory parity
-//! buffer is rewritten only after its previous frame was copied out),
-//! so the hop cannot deadlock. Frames carry the **whole** aggregate
-//! buffer: staging boxes are initialized by mirroring the consumer box
-//! (both parities, including the epoch-0 register preload), so words a
-//! cycle does not write retain exactly the bytes the in-process path
-//! would have left in place — this is what keeps the packed
-//! retire-mask blends bit-exact across backends.
+//! is a neighbour of every other (`engine::sync::fold_neighbors`), so
+//! none of them is ever more than one cycle ahead of another. Every
+//! publish precedes every receive wait within a worker, and a producer
+//! can start flushing cycle `c + 1` only after the receiver published
+//! epoch `c + 1`, i.e. after it landed frame `c`: that one-cycle-ahead
+//! bound keeps at most one frame in flight per pair (the next countdown
+//! cannot start before the last one re-armed), so the hop cannot
+//! deadlock. Frames carry the **whole** aggregate buffer: staging boxes
+//! are initialized by mirroring the consumer box (both parities,
+//! including the epoch-0 register preload), so words a cycle does not
+//! write retain exactly the bytes the in-process path would have left
+//! in place — this is what keeps the packed retire-mask blends
+//! bit-exact across backends.
 //!
 //! # Byte accounting
 //!
@@ -71,64 +73,79 @@
 //! implicitly through shared memory). Receive waits are timed by the
 //! cycle loop into the same `BspPhases::offchip_s` column as the
 //! modeled link residual, so fig10/fig17 print comparable measured
-//! columns for all three backends.
+//! columns for both backends.
 //!
 //! # Failure behavior
 //!
 //! Transport faults are unrecoverable mid-cycle: a malformed or short
-//! TCP frame, a closed peer, or an unmappable shared-memory file
-//! panics the worker, and the engine's worker loop converts any worker
-//! panic into a process abort (its neighbours would wait forever).
-//! Frame decoding itself ([`tcp::decode_frame`]) is a total function
-//! returning `Result`, unit-tested on truncated and corrupted input.
+//! TCP frame or a closed peer panics the worker, and the engine's
+//! worker loop converts any worker panic into a process abort (its
+//! neighbours would wait forever). Frame decoding itself
+//! ([`tcp::decode_frame`]) is a total function returning `Result`,
+//! unit-tested on truncated and corrupted input.
 
-use crate::engine::Mailbox;
+use crate::engine::sync::Mailbox;
 use parendi_telemetry::{Counter, TraceSink};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 pub(crate) mod inproc;
-pub(crate) mod shmem;
 pub(crate) mod tcp;
 
 /// Which backend carries the off-chip aggregate mailboxes.
 ///
 /// Selected per simulator via `BspSimulator::with_transport` /
 /// `GangSimulator::with_transport`, or globally via the
-/// `PARENDI_TRANSPORT` environment variable (`inproc` | `shm` |
-/// `tcp`). All backends are bit-exact; they differ only in which
-/// memory-domain boundary the aggregates cross and in the measured
-/// cost that lands in `BspPhases::offchip_s`.
+/// `PARENDI_TRANSPORT` environment variable (`inproc` | `tcp`). Both
+/// backends are bit-exact; they differ only in which memory-domain
+/// boundary the aggregates cross and in the measured cost that lands
+/// in `BspPhases::offchip_s`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TransportChoice {
     /// Direct writes into the consumer mailbox (one address space).
     #[default]
     InProcess,
-    /// Staged frames through a memory-mapped `/dev/shm` file.
-    SharedMem,
     /// Length-prefixed frames over loopback TCP sockets.
     Tcp,
 }
 
 impl TransportChoice {
-    /// Reads `PARENDI_TRANSPORT` (`inproc` | `shm` | `tcp`, with a few
-    /// aliases), defaulting to [`TransportChoice::InProcess`]. Unknown
-    /// values fall back to the default so a typo degrades to the
-    /// bit-exact path rather than aborting.
-    pub fn from_env() -> Self {
-        match std::env::var("PARENDI_TRANSPORT").as_deref() {
-            Ok("shm") | Ok("shmem") | Ok("shared") | Ok("shared-mem") => Self::SharedMem,
-            Ok("tcp") => Self::Tcp,
-            _ => Self::InProcess,
+    /// The backend a `PARENDI_TRANSPORT` value names, if it names one.
+    pub(crate) fn parse(value: &str) -> Option<Self> {
+        match value {
+            "inproc" => Some(Self::InProcess),
+            "tcp" => Some(Self::Tcp),
+            _ => None,
         }
+    }
+
+    /// Reads `PARENDI_TRANSPORT` (`inproc` | `tcp`). Unset or empty is
+    /// [`TransportChoice::InProcess`]. A set value that names no
+    /// backend also falls back to it — a typo degrades to the bit-exact
+    /// path rather than aborting — but says so on stderr, once per
+    /// process: a stale value must not silently change what a run
+    /// measures.
+    pub fn from_env() -> Self {
+        let Some(value) = std::env::var_os("PARENDI_TRANSPORT").filter(|v| !v.is_empty()) else {
+            return Self::InProcess;
+        };
+        value.to_str().and_then(Self::parse).unwrap_or_else(|| {
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "[transport] ignoring PARENDI_TRANSPORT={value:?}: expected `inproc` or \
+                     `tcp`; using `inproc`"
+                );
+            });
+            Self::InProcess
+        })
     }
 
     /// Short stable name (used in bench record tags and fig columns).
     pub fn name(&self) -> &'static str {
         match self {
             Self::InProcess => "inproc",
-            Self::SharedMem => "shm",
             Self::Tcp => "tcp",
         }
     }
@@ -274,10 +291,9 @@ pub(crate) trait ChipTransport: Send + Sync {
     /// after the engine mutated it outside the cycle loop (checkpoint
     /// restore, lane fork). Staged backends re-mirror the consumer
     /// boxes into staging (both parities) so the next cycle's frames
-    /// carry the restored bytes; the shared-memory backend also rewinds
-    /// its sequence words to `cycle`. Called between runs only — no
-    /// worker is in flight. The default (in-process) is a no-op.
-    fn resync(&self, _channels: &[Mailbox], _onchip: usize, _cycle: u64) {}
+    /// carry the restored bytes. Called between runs only — no worker
+    /// is in flight. The default (in-process) is a no-op.
+    fn resync(&self, _channels: &[Mailbox], _onchip: usize) {}
 
     /// Short stable backend name.
     fn name(&self) -> &'static str;
@@ -287,7 +303,6 @@ pub(crate) trait ChipTransport: Send + Sync {
 pub(crate) fn build(choice: TransportChoice, init: TransportInit<'_>) -> Box<dyn ChipTransport> {
     match choice {
         TransportChoice::InProcess => Box::new(inproc::InProcess::new(init)),
-        TransportChoice::SharedMem => Box::new(shmem::SharedMem::new(init)),
         TransportChoice::Tcp => Box::new(tcp::Tcp::new(init)),
     }
 }
@@ -330,28 +345,19 @@ impl Staging {
         let pair_words: Vec<usize> = (0..npairs)
             .map(|p| init.channels[init.onchip + p].words())
             .collect();
+        // Frames carry whole buffers, so a staging box starts as a
+        // mirror of its consumer box (`resync`, below): unwritten words
+        // must hold exactly what the direct path would have left there,
+        // including the epoch-0 register preload in parity 0.
         let boxes = if staged {
-            let mut boxes: Vec<Mailbox> = (0..init.onchip).map(|_| Mailbox::new(0)).collect();
-            for (p, &words) in pair_words.iter().enumerate() {
-                let b = Mailbox::new(words);
-                // Mirror the consumer box, both parities: frames carry
-                // whole buffers, so unwritten words must hold exactly
-                // what the direct path would have left there
-                // (including the epoch-0 register preload in parity 0).
-                // SAFETY: single-threaded build — no concurrent access.
-                unsafe {
-                    for parity in 0..2 {
-                        let src = init.channels[init.onchip + p].read(parity);
-                        std::ptr::copy_nonoverlapping(src.as_ptr(), b.write_base(parity), words);
-                    }
-                }
-                boxes.push(b);
-            }
-            boxes
+            let onchip = (0..init.onchip).map(|_| Mailbox::new(0));
+            onchip
+                .chain(pair_words.iter().map(|&w| Mailbox::new(w)))
+                .collect()
         } else {
             Vec::new()
         };
-        Staging {
+        let staging = Staging {
             boxes,
             produces: init.produces.clone(),
             counts: full.iter().map(|&f| AtomicU32::new(f)).collect(),
@@ -361,7 +367,9 @@ impl Staging {
             bytes: AtomicU64::new(0),
             frames_sent: init.frames_sent.clone(),
             frames_received: init.frames_received.clone(),
-        }
+        };
+        staging.resync(init.channels, init.onchip);
+        staging
     }
 
     /// The staging fabric, or `None` for the in-process path.
@@ -375,10 +383,18 @@ impl Staging {
 
     /// One parity buffer of pair `p`'s staging box.
     ///
-    /// SAFETY contract of the caller: all producers of `p` have
-    /// flushed (the countdown reached zero through this thread's
-    /// `AcqRel` decrement), so no writer of this parity remains.
+    /// # Safety
+    ///
+    /// All producers of `p` must have flushed this cycle (the countdown
+    /// reached zero through the calling thread's `AcqRel` decrement),
+    /// and the slice must be dropped before the caller publishes its
+    /// epoch.
     pub(crate) unsafe fn frame(&self, p: usize, parity: usize) -> &[u64] {
+        // SAFETY: epoch invariant (`EpochSync`) — the pair's producers
+        // are the caller's neighbours: every one of them has finished
+        // this cycle's flush (the caller's contract), and none starts
+        // the next cycle's before the caller publishes, so no writer of
+        // this parity exists while the slice lives.
         unsafe { self.boxes[self.onchip + p].read(parity) }
     }
 
@@ -406,20 +422,23 @@ impl Staging {
         }
     }
 
-    /// Re-mirrors the consumer boxes into the staging fabric, both
-    /// parities — the build-time mirror re-run after a restore or lane
-    /// fork rewrote the consumer-side mailboxes. No-op when unstaged.
+    /// Mirrors the consumer boxes into the staging fabric, both
+    /// parities — at build, and again after a restore or lane fork
+    /// rewrote the consumer-side mailboxes. No-op when unstaged.
     ///
-    /// Caller contract: no worker is in flight (called between runs).
+    /// Caller contract: no worker is in flight (called from the
+    /// single-threaded build, or between runs).
     pub(crate) fn resync(&self, channels: &[Mailbox], onchip: usize) {
         if self.boxes.is_empty() {
             return;
         }
         for (p, &words) in self.pair_words.iter().enumerate() {
-            // SAFETY: between runs, nothing else reads or writes either
-            // fabric — same situation as the single-threaded build.
-            unsafe {
-                for parity in 0..2 {
+            for parity in 0..2 {
+                // SAFETY: no worker is in flight (the caller's
+                // contract), so under the epoch invariant (`EpochSync`)
+                // nothing else reads or writes either fabric; both
+                // boxes hold `words` words per parity.
+                unsafe {
                     let src = channels[onchip + p].read(parity);
                     std::ptr::copy_nonoverlapping(
                         src.as_ptr(),
@@ -442,29 +461,25 @@ impl Staging {
     }
 }
 
-/// Pins the calling thread to `core` (best effort, Linux only) when
-/// `PARENDI_PIN=1` — the "pinned per-chip" half of the shared-memory
-/// story. Silently a no-op elsewhere or when the syscall fails.
-pub(crate) fn maybe_pin_to_core(core: usize) {
-    if std::env::var("PARENDI_PIN").as_deref() != Ok("1") {
-        return;
-    }
-    #[cfg(target_os = "linux")]
-    {
-        // Hand-declared cpu_set_t (1024 bits) + sched_setaffinity: the
-        // container has no libc crate and the ABI is stable.
-        let mut mask = [0u64; 16];
-        mask[(core / 64) % 16] |= 1u64 << (core % 64);
-        unsafe extern "C" {
-            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+#[cfg(test)]
+mod tests {
+    use super::TransportChoice;
+
+    /// Exactly the two backends' names parse — the removed
+    /// shared-memory backend's do not, so a stale `PARENDI_TRANSPORT`
+    /// reaches the warning in `from_env` instead of a silent default.
+    #[test]
+    fn only_the_two_backend_names_parse() {
+        assert_eq!(
+            TransportChoice::parse("inproc"),
+            Some(TransportChoice::InProcess)
+        );
+        assert_eq!(TransportChoice::parse("tcp"), Some(TransportChoice::Tcp));
+        for stale in ["shm", "shmem", "shared", "shared-mem", "TCP", " tcp", ""] {
+            assert_eq!(TransportChoice::parse(stale), None, "{stale:?}");
         }
-        // SAFETY: mask outlives the call; pid 0 = calling thread.
-        unsafe {
-            sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
+        for choice in [TransportChoice::InProcess, TransportChoice::Tcp] {
+            assert_eq!(TransportChoice::parse(choice.name()), Some(choice));
         }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = core;
     }
 }

@@ -14,9 +14,10 @@
 //! Each pair gets a dedicated writer thread fed through an unbounded
 //! channel, so a publishing worker never blocks on a full socket
 //! buffer — the one-cycle-ahead bound between neighbours keeps
-//! in-flight traffic to one frame per pair, but a single frame can exceed the kernel's socket
-//! buffers and a synchronous `write_all` from the worker could then
-//! deadlock against its own pending receives. Receives are plain
+//! in-flight traffic to one frame per pair, but a single frame can
+//! exceed the kernel's socket buffers and a synchronous `write_all`
+//! from the worker could then deadlock against its own pending
+//! receives. Receives are plain
 //! blocking reads on the consumer end of the pair's stream.
 //!
 //! Failure behavior: connection setup and the frame path surface
@@ -28,7 +29,7 @@
 //! and unit-tested on malformed input.
 
 use super::{transport_timeout, ChipTransport, Staging, TransportError, TransportInit};
-use crate::engine::Mailbox;
+use crate::engine::sync::Mailbox;
 use parendi_telemetry::{SpanKind, TraceEvent, NO_TILE};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -376,7 +377,7 @@ impl ChipTransport for Tcp {
         self.staging.bytes()
     }
 
-    fn resync(&self, channels: &[Mailbox], onchip: usize, _cycle: u64) {
+    fn resync(&self, channels: &[Mailbox], onchip: usize) {
         // The sockets are drained between runs (at most one frame per
         // pair is ever in flight, and all are consumed before a run
         // returns), so only the staging mirror needs

@@ -213,6 +213,55 @@ fn multi_chip_worker_groups_are_equivalent() {
     }
 }
 
+/// Eq. 1 as an accounting identity on the timed split, through the
+/// inline path (1 thread) and the pool (2): the phase columns are one
+/// worker's — the straggler's — and its tiles' histogram entries are
+/// cut from the very clock reads that fill them. So that worker's
+/// per-tile compute sums to `compute_s`; its per-tile flush copies and
+/// record applications sum to no more than `offchip_s` and `exchange_s`
+/// (which also carry the worker-level link residual, receive wait and
+/// neighbour wait); and the three columns fit inside the wall clock.
+#[test]
+fn timed_phase_columns_add_up() {
+    let c = random_circuit(7, 14, 70);
+    let mut cfg = PartitionConfig::with_tiles(8);
+    cfg.tiles_per_chip = 4;
+    let comp = compile(&c, &cfg).expect("compiles");
+    assert!(comp.partition.chips >= 2, "partition must span chips");
+    for threads in [1usize, 2] {
+        let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+        // No pool (and no fold) at one thread: worker 0 runs every tile.
+        let mut tile_worker = bsp.fold_report().tile_worker.clone();
+        tile_worker.resize(bsp.tiles(), 0);
+        bsp.run(3);
+        let ph = bsp.run_timed(200);
+        assert_eq!(ph.per_tile.len(), bsp.tiles());
+        let near = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        let sums = |w: u32| {
+            let mine = (0..bsp.tiles()).filter(|&t| tile_worker[t] == w);
+            mine.fold((0.0, 0.0, 0.0), |(c, o, e), t| {
+                let p = &ph.per_tile[t];
+                (c + p.compute_s, o + p.offchip_s, e + p.exchange_s)
+            })
+        };
+        let (comp_s, off_s, exch_s) = (0..threads as u32)
+            .map(sums)
+            .find(|s| near(s.0, ph.compute_s))
+            .unwrap_or_else(|| panic!("x{threads}: no worker's tiles sum to compute_s: {ph:?}"));
+        assert!(comp_s > 0.0, "x{threads}: a timed run measures compute");
+        assert!(
+            ph.per_tile.iter().any(|t| t.offchip_s > 0.0),
+            "x{threads}: some tile flushes off-chip"
+        );
+        assert!(off_s <= ph.offchip_s + 1e-9, "x{threads}: {ph:?}");
+        assert!(exch_s <= ph.exchange_s + 1e-9, "x{threads}: {ph:?}");
+        assert!(
+            ph.compute_s + ph.offchip_s + ph.exchange_s <= ph.total_s + 1e-9,
+            "x{threads}: the columns overrun the wall clock: {ph:?}"
+        );
+    }
+}
+
 /// Two islands with no signal between them, one worker each: the
 /// workers share no buffer, so they are not neighbours and the run must
 /// finish bit-exact without a single wait — resolved or parked.

@@ -13,11 +13,7 @@ use parendi_core::{compile, Compilation, PartitionConfig};
 use parendi_rtl::{ArrayId, Circuit, RegId};
 use parendi_sim::{BspSimulator, GangSimulator, Snapshot, SnapshotError, TransportChoice};
 
-const BACKENDS: [TransportChoice; 3] = [
-    TransportChoice::InProcess,
-    TransportChoice::SharedMem,
-    TransportChoice::Tcp,
-];
+const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::Tcp];
 
 fn multi_chip(seed: u64) -> (Circuit, Compilation) {
     let c = random_circuit_io(seed, 10, 50, 2);
@@ -106,14 +102,19 @@ fn bsp_restore_is_bit_identical_across_backends_and_threads() {
 }
 
 /// Gang leg of the matrix: strided (5 lanes) and packed (6 lanes, so
-/// the packed tail sees a non-trivial retire blend), with per-lane
+/// the packed tail sees a non-trivial retire blend; 65, so a packed
+/// block is two words and the second holds one lane), with per-lane
 /// stimulus diverging before *and* after the snapshot, and one lane
-/// retired before the snapshot so retirement state rides along.
+/// retired before the snapshot so retirement state rides along. The
+/// snapshotting engine itself is then restored in place: a second
+/// snapshot must be the first one byte for byte, i.e. restore writes
+/// every buffer snapshot reads — arrays, packed tails and both
+/// parities of the (staged, over TCP) chip-pair mailboxes included.
 #[test]
 fn gang_restore_is_bit_identical_across_modes_and_backends() {
     let (c, comp) = multi_chip(72);
-    for packed in [false, true] {
-        let lanes = if packed { 6 } else { 5 };
+    assert!(!c.arrays.is_empty(), "the walk must see array copies");
+    for (packed, lanes) in [(false, 5), (true, 6), (true, 65)] {
         for backend in BACKENDS {
             for &threads in &[1usize, 4] {
                 let mut gang = GangSimulator::with_transport(
@@ -131,12 +132,19 @@ fn gang_restore_is_bit_identical_across_modes_and_backends() {
                 gang.run(9);
                 gang.finish_lane(2);
                 gang.run(8);
-                let snap = Snapshot::from_bytes(&gang.snapshot().to_bytes()).expect("round-trips");
+                let bytes = gang.snapshot().to_bytes();
+                let snap = Snapshot::from_bytes(&bytes).expect("round-trips");
                 for l in 0..lanes {
                     gang.poke_lane("in0", l, 100 + l as u64);
                 }
                 gang.run(14);
                 let want: Vec<Vec<u64>> = (0..lanes).map(|l| lane_state(&gang, l)).collect();
+                gang.restore(&snap).expect("its own snapshot fits");
+                assert!(
+                    gang.snapshot().to_bytes() == bytes,
+                    "[{} t{threads} packed={packed} x{lanes}] restore left a buffer behind",
+                    gang.transport_name(),
+                );
 
                 let mut resumed = GangSimulator::with_transport(
                     &c,
@@ -279,7 +287,6 @@ const CHILD_SEED: u64 = 76;
 
 fn child_backend(name: &str) -> TransportChoice {
     match name {
-        "shm" => TransportChoice::SharedMem,
         "tcp" => TransportChoice::Tcp,
         _ => TransportChoice::InProcess,
     }
@@ -301,9 +308,7 @@ fn ckpt_child_entry() {
     sim.poke("in0", 5);
     sim.poke("in1", 60);
     sim.run(25);
-    // Simulate a crash: skip every destructor (for the shm backend
-    // this also leaks the /dev/shm segment the parent's next engine
-    // build must sweep).
+    // Simulate a crash: skip every destructor.
     std::process::exit(42);
 }
 

@@ -1,5 +1,5 @@
 //! Exhaustive-interleaving check of the engine's per-cycle protocol
-//! (`engine::EpochSync`'s type docs state it): every worker runs
+//! (`engine::sync::EpochSync`'s type docs state it): every worker runs
 //! `compute(c) · publish · wait-on-neighbours · exchange(c)` per cycle
 //! over double-buffered mailboxes, and nobody else synchronizes it.
 //!

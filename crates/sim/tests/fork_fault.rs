@@ -11,7 +11,9 @@ mod common;
 use common::random_circuit_io;
 use parendi_core::{compile, Compilation, PartitionConfig};
 use parendi_rtl::{ArrayId, Circuit, RegId, Signal};
-use parendi_sim::{run_campaign, FaultOutcome, FaultPlan, GangSimulator, Simulator};
+use parendi_sim::{
+    run_campaign, FaultOutcome, FaultPlan, GangSimulator, Simulator, TransportChoice,
+};
 
 fn multi_chip(seed: u64) -> (Circuit, Compilation) {
     let c = random_circuit_io(seed, 10, 50, 2);
@@ -38,17 +40,23 @@ fn lane_state(gang: &GangSimulator<'_>, lane: usize) -> Vec<u64> {
 
 /// After a shared boot (divergent stimulus, one retired lane),
 /// `fork_lanes` must make every lane — including the retired one —
-/// bit-identical to the golden lane, and reactivate them all.
+/// bit-identical to the golden lane, registers, arrays and outputs,
+/// and reactivate them all; and the copies must *stay* identical under
+/// identical stimulus, which they do not if the fork missed a mailbox
+/// parity or a packed tail (state no register read shows, but the next
+/// cycles consume). The 65-lane packed gang over TCP has two-word
+/// packed blocks and staged chip-pair mailboxes.
 #[test]
 fn fork_broadcasts_the_golden_lane() {
     let (c, comp) = multi_chip(81);
-    for packed in [false, true] {
-        let lanes = if packed { 6 } else { 5 };
-        let mut gang = if packed {
-            GangSimulator::new_packed(&c, &comp.partition, 2, lanes)
-        } else {
-            GangSimulator::new(&c, &comp.partition, 2, lanes)
-        };
+    assert!(!c.arrays.is_empty(), "the fork must see array copies");
+    for (packed, lanes, transport) in [
+        (false, 5, TransportChoice::InProcess),
+        (true, 6, TransportChoice::InProcess),
+        (true, 65, TransportChoice::Tcp),
+    ] {
+        let mut gang =
+            GangSimulator::with_transport(&c, &comp.partition, 2, lanes, packed, transport);
         for l in 0..lanes {
             gang.poke_lane("in0", l, 7 + l as u64);
             gang.poke_lane("in1", l, l as u64);
@@ -57,18 +65,29 @@ fn fork_broadcasts_the_golden_lane() {
         gang.finish_lane(1);
         gang.run(4);
         let golden = 3usize;
-        let want = lane_state(&gang, golden);
+        let mut want = lane_state(&gang, golden);
         // Sanity: lanes diverged before the fork.
         assert_ne!(lane_state(&gang, 0), want, "stimulus must diverge lanes");
 
         gang.fork_lanes(golden);
         assert_eq!(gang.active_lanes(), lanes, "fork reactivates every lane");
-        for l in 0..lanes {
-            assert_eq!(
-                lane_state(&gang, l),
-                want,
-                "packed={packed}: lane {l} not a copy of the golden lane"
-            );
+        for round in 0..2 {
+            let outputs = gang.peek_outputs_lane(golden);
+            for l in 0..lanes {
+                assert_eq!(
+                    lane_state(&gang, l),
+                    want,
+                    "packed={packed} x{lanes} round {round}: lane {l} not a copy of the golden lane"
+                );
+                assert_eq!(
+                    gang.peek_outputs_lane(l),
+                    outputs,
+                    "packed={packed} x{lanes} round {round}: lane {l} outputs"
+                );
+            }
+            // Inputs were forked too: 50 more cycles, same stimulus.
+            gang.run(50);
+            want = lane_state(&gang, golden);
         }
     }
 }

@@ -320,16 +320,12 @@ fn traced_runs_are_bit_identical_to_untraced() {
 
 /// Every transport backend registers its spans on the shared sink: a
 /// traced TCP run grows per-writer-thread transport tracks next to the
-/// worker tracks, and all three backends stay monotone.
+/// worker tracks, and both backends stay monotone.
 #[test]
 fn traced_runs_cover_all_transports() {
     let c = random_circuit_io(19, 8, 40, 2);
     let comp = compile_two_chip(&c, MultiChipStrategy::Post);
-    for backend in [
-        TransportChoice::InProcess,
-        TransportChoice::SharedMem,
-        TransportChoice::Tcp,
-    ] {
+    for backend in [TransportChoice::InProcess, TransportChoice::Tcp] {
         let mut sim =
             BspSimulator::with_trace(&c, &comp.partition, 2, backend, TraceConfig::tile());
         sim.poke("in0", 1);

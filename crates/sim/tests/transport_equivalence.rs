@@ -1,5 +1,5 @@
-//! The off-chip transport contract: every backend — in-process,
-//! shared-memory, TCP loopback — must produce bit-identical
+//! The off-chip transport contract: both backends — in-process and
+//! TCP loopback — must produce bit-identical
 //! architectural state to the reference interpreter, for both
 //! multi-chip partitioning strategies, at 1/2/4 chips. The backends
 //! differ only in which memory-domain boundary the per-chip-pair
@@ -12,11 +12,7 @@ use parendi_core::{compile, MultiChipStrategy, PartitionConfig};
 use parendi_rtl::RegId;
 use parendi_sim::{BspSimulator, GangSimulator, Simulator, TransportChoice};
 
-const BACKENDS: [TransportChoice; 3] = [
-    TransportChoice::InProcess,
-    TransportChoice::SharedMem,
-    TransportChoice::Tcp,
-];
+const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::Tcp];
 
 /// Runs the reference and every transport backend over the same
 /// stimulus and asserts identical registers, arrays, and outputs.
