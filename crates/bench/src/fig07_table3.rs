@@ -2,37 +2,44 @@
 //! evaluation suite (vta, mc, sr2–srN, lr2–lrN), with the paper's size
 //! columns (#N, #F, #I, binary MiB, Int./Ext. cut).
 
+use crate::{best_ipu, gmean, lr_max, rule, sr_max, verilator_point};
 use parendi_baseline::VerilatorModel;
-use parendi_bench::{best_ipu, gmean, lr_max, rule, sr_max, verilator_point};
 use parendi_designs::Benchmark;
 use parendi_machine::ipu::IpuConfig;
 use parendi_machine::x64::X64Config;
+use std::io::{self, Write};
 
-fn main() {
+/// Fig. 7 + Table 3: Parendi vs Verilator over the evaluation suite.
+pub fn fig07(out: &mut dyn Write, quick: bool) -> io::Result<()> {
     let ipu = IpuConfig::m2000();
     let ix3 = X64Config::ix3();
     let ae4 = X64Config::ae4();
-    println!("Fig. 7 + Table 3: Parendi (IPU model) vs Verilator (x64 models)");
-    rule(132);
-    println!(
+    writeln!(
+        out,
+        "Fig. 7 + Table 3: Parendi (IPU model) vs Verilator (x64 models)"
+    )?;
+    rule(out, 132)?;
+    writeln!(
+        out,
         "{:<6} | {:>8} {:>8} {:>3} | {:>8} {:>8} {:>3} | {:>9} {:>5} | {:>6} {:>6} {:>6} | {:>7} {:>7} {:>6} {:>7} {:>7}",
         "bench", "ix3-st", "ix3-mt", "#T", "ae4-st", "ae4-mt", "#T", "ipu-kHz", "#T",
         "sp-ix3", "sp-ae4", "gmean", "#I(K)", "#N(K)", "#F(K)", "Int.KiB", "Ext.KiB"
-    );
-    rule(132);
+    )?;
+    rule(out, 132)?;
     let mut sp_ix3 = Vec::new();
     let mut sp_ae4 = Vec::new();
-    for bench in Benchmark::suite(sr_max(), lr_max()) {
+    for bench in Benchmark::suite(sr_max(quick), lr_max(quick)) {
         let c = bench.build();
         let vm = VerilatorModel::new(&c);
         let p_ix3 = verilator_point(&vm, &ix3);
         let p_ae4 = verilator_point(&vm, &ae4);
-        let best = best_ipu(&c, &ipu);
+        let best = best_ipu(&c, &ipu, quick);
         let s_ix3 = best.khz / p_ix3.mt_khz;
         let s_ae4 = best.khz / p_ae4.mt_khz;
         sp_ix3.push(s_ix3);
         sp_ae4.push(s_ae4);
-        println!(
+        writeln!(
+            out,
             "{:<6} | {:>8.2} {:>8.2} {:>3} | {:>8.2} {:>8.2} {:>3} | {:>9.1} {:>5} | {:>6.2} {:>6.2} {:>6.2} | {:>7.1} {:>7.1} {:>6.2} {:>7.1} {:>7.1}",
             bench.name(),
             p_ix3.st_khz,
@@ -51,16 +58,21 @@ fn main() {
             best.comp.fibers.len() as f64 / 1e3,
             best.comp.plan.onchip_cut_bytes as f64 / 1024.0,
             best.comp.plan.offchip_cut_bytes as f64 / 1024.0,
-        );
+        )?;
     }
-    rule(132);
+    rule(out, 132)?;
     let g_ix3 = gmean(sp_ix3.iter().copied());
     let g_ae4 = gmean(sp_ae4.iter().copied());
-    println!(
+    writeln!(
+        out,
         "geomean speedup: ix3 {:.2}  ae4 {:.2}  overall {:.2}   (paper: 2.81 / 2.75 / 2.78)",
         g_ix3,
         g_ae4,
         (g_ix3 * g_ae4).sqrt()
-    );
-    println!("Shape check: large meshes favour the IPU; tiny sr2/lr2 favour Verilator.");
+    )?;
+    writeln!(
+        out,
+        "Shape check: large meshes favour the IPU; tiny sr2/lr2 favour Verilator."
+    )?;
+    Ok(())
 }

@@ -6,13 +6,14 @@
 //! clusters of pico cores coupled through a shared monitor register —
 //! the bus-based Rocket SoC structure of the paper's comparison.
 
+use crate::ipu_point;
 use parendi_baseline::VerilatorModel;
-use parendi_bench::ipu_point;
 use parendi_core::{compile, Compilation, PartitionConfig, Strategy};
 use parendi_designs::isa;
 use parendi_machine::ipu::IpuConfig;
 use parendi_machine::x64::X64Config;
 use parendi_rtl::{Builder, Circuit};
+use std::io::{self, Write};
 
 /// A K-core bus SoC: pico cores plus a shared heartbeat register each
 /// core's generator taps (the light cross-core coupling a shared bus
@@ -66,14 +67,19 @@ fn x64_bsp_khz(comp: &Compilation, host: &X64Config) -> f64 {
     host.rate_khz(comp_c + comm_c + sync_c)
 }
 
-fn main() {
+/// Fig. 14: RepCut vs Verilator vs Parendi across SoC sizes.
+pub fn fig14(out: &mut dyn Write, _quick: bool) -> io::Result<()> {
     let ae4 = X64Config::ae4();
     let ipu = IpuConfig::m2000();
-    println!("Fig. 14: kHz by simulator across SoC sizes (ae4 threads for vlt/rct)");
-    println!(
+    writeln!(
+        out,
+        "Fig. 14: kHz by simulator across SoC sizes (ae4 threads for vlt/rct)"
+    )?;
+    writeln!(
+        out,
         "{:>6} {:>8} | {:>10} {:>10} {:>10}",
         "cores", "threads", "vlt", "rct", "ipu"
-    );
+    )?;
     for cores in [1u32, 2, 4, 8, 16, 32] {
         let c = bus_soc(cores);
         let vm = VerilatorModel::new(&c);
@@ -87,10 +93,17 @@ fn main() {
             let comp = compile(&c, &cfg).expect("soc compiles");
             let rct = x64_bsp_khz(&comp, &ae4);
             let vlt = vm.rate_khz(&ae4, threads);
-            println!("{cores:>6} {threads:>8} | {vlt:>10.1} {rct:>10.1} {ipu_khz:>10.1}");
+            writeln!(
+                out,
+                "{cores:>6} {threads:>8} | {vlt:>10.1} {rct:>10.1} {ipu_khz:>10.1}"
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("Shape check: Verilator wins tiny SoCs, RepCut the mid sizes,");
-    println!("Parendi the largest (paper Fig. 14's progression).");
+    writeln!(
+        out,
+        "Shape check: Verilator wins tiny SoCs, RepCut the mid sizes,"
+    )?;
+    writeln!(out, "Parendi the largest (paper Fig. 14's progression).")?;
+    Ok(())
 }

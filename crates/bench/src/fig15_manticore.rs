@@ -3,20 +3,26 @@
 //! file, statically scheduled pipeline) but it has 6.5× fewer cores and
 //! tight memory, so large designs favour the IPU.
 
-use parendi_bench::ipu_point;
+use crate::ipu_point;
 use parendi_core::{compile, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_machine::ipu::IpuConfig;
 use parendi_machine::manticore::ManticoreConfig;
+use std::io::{self, Write};
 
-fn main() {
+/// Fig. 15: Parendi on one IPU vs a Manticore-like accelerator.
+pub fn fig15(out: &mut dyn Write, _quick: bool) -> io::Result<()> {
     let ipu = IpuConfig::m2000();
     let mcr = ManticoreConfig::prototype();
-    println!("Fig. 15: speedup of Parendi (1472 tiles) over Manticore (225 cores)");
-    println!(
+    writeln!(
+        out,
+        "Fig. 15: speedup of Parendi (1472 tiles) over Manticore (225 cores)"
+    )?;
+    writeln!(
+        out,
         "{:>8} {:>10} {:>10} {:>9} {:>7}",
         "design", "ipu-kHz", "mcr-kHz", "ipu/mcr", "fits?"
-    );
+    )?;
     for bench in [
         Benchmark::Bitcoin,
         Benchmark::Prng(256),
@@ -36,15 +42,23 @@ fn main() {
         let cycles = mcr.cycles_per_rtl_cycle(comp.partition.straggler_cost(), per_core_comm);
         let mcr_khz = mcr.rate_khz(cycles);
         let state = c.array_bytes() + c.state_bits() / 8;
-        println!(
+        writeln!(
+            out,
             "{:>8} {:>10.1} {:>10.1} {:>9.2} {:>7}",
             bench.name(),
             ipu_p.khz,
             mcr_khz,
             ipu_p.khz / mcr_khz,
             if mcr.fits(state) { "yes" } else { "NO" }
-        );
+        )?;
     }
-    println!("\nShape check: small straggler-bound designs (pico) lean Manticore");
-    println!("(faster cores); wide designs (bitcoin, vta, mc) lean Parendi.");
+    writeln!(
+        out,
+        "\nShape check: small straggler-bound designs (pico) lean Manticore"
+    )?;
+    writeln!(
+        out,
+        "(faster cores); wide designs (bitcoin, vta, mc) lean Parendi."
+    )?;
+    Ok(())
 }

@@ -6,14 +6,20 @@ use parendi_core::{compile, PartitionConfig, Strategy};
 use parendi_designs::Benchmark;
 use parendi_machine::ipu::IpuConfig;
 use parendi_sim::timing::ipu_timings;
+use std::io::{self, Write};
 
-fn main() {
+/// Fig. 16: bottom-up vs hypergraph partitioning on one IPU.
+pub fn fig16(out: &mut dyn Write, _quick: bool) -> io::Result<()> {
     let ipu = IpuConfig::m2000();
-    println!("Fig. 16: cycles per RTL cycle, B vs H (normalized to B)");
-    println!(
+    writeln!(
+        out,
+        "Fig. 16: cycles per RTL cycle, B vs H (normalized to B)"
+    )?;
+    writeln!(
+        out,
         "{:>8} {:>4} | {:>9} {:>9} {:>9} | {:>9} {:>7}",
         "design", "strat", "comp", "comm", "sync", "total", "norm"
-    );
+    )?;
     let benches: Vec<Benchmark> = (4..=7)
         .map(Benchmark::Sr)
         .chain((2..=5).map(Benchmark::Lr))
@@ -28,7 +34,8 @@ fn main() {
             let t = ipu_timings(&comp, &ipu);
             let total = t.total();
             let b = *base.get_or_insert(total);
-            println!(
+            writeln!(
+                out,
                 "{:>8} {:>4} | {:>9.0} {:>9.0} {:>9.0} | {:>9.0} {:>7.3}",
                 bench.name(),
                 label,
@@ -37,10 +44,14 @@ fn main() {
                 t.sync,
                 total,
                 total / b
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("Shape check: the winner flips between designs; neither B nor H is");
-    println!("uniformly better (paper §6.6).");
+    writeln!(
+        out,
+        "Shape check: the winner flips between designs; neither B nor H is"
+    )?;
+    writeln!(out, "uniformly better (paper §6.6).")?;
+    Ok(())
 }

@@ -2,22 +2,25 @@
 //! one tile and at one-fiber-per-tile, Verilator single- and
 //! two-thread on the ix3 model.
 
+use crate::{ipu_point, rule};
 use parendi_baseline::VerilatorModel;
-use parendi_bench::{ipu_point, rule};
 use parendi_designs::Benchmark;
 use parendi_machine::ipu::IpuConfig;
 use parendi_machine::x64::X64Config;
+use std::io::{self, Write};
 
-fn main() {
+/// Table 1: small-design rates.
+pub fn table1(out: &mut dyn Write, _quick: bool) -> io::Result<()> {
     let ipu = IpuConfig::m2000();
     let ix3 = X64Config::ix3();
-    println!("Table 1: small-design rates (kHz)");
-    rule(86);
-    println!(
+    writeln!(out, "Table 1: small-design rates (kHz)")?;
+    rule(out, 86)?;
+    writeln!(
+        out,
         "{:<8} | {:>6} {:>10} | {:>6} {:>10} | {:>10} {:>10}",
         "design", "par", "Parendi", "par", "Parendi", "vlt 1T", "vlt 2T"
-    );
-    rule(86);
+    )?;
+    rule(out, 86)?;
     for bench in Benchmark::small_three() {
         let c = bench.build();
         let one = ipu_point(&c, 1, &ipu);
@@ -30,7 +33,8 @@ fn main() {
             .max_by(|a, b| a.khz.partial_cmp(&b.khz).expect("finite"))
             .expect("non-empty");
         let vm = VerilatorModel::new(&c);
-        println!(
+        writeln!(
+            out,
             "{:<8} | {:>6} {:>10.1} | {:>6} {:>10.1} | {:>10.1} {:>10.1}",
             bench.name(),
             one.tiles_used,
@@ -39,9 +43,16 @@ fn main() {
             max.khz,
             vm.rate_khz(&ix3, 1),
             vm.rate_khz(&ix3, 2),
-        );
+        )?;
     }
-    rule(86);
-    println!("Shape check: x64 gains nothing from 2 threads on these sizes;");
-    println!("Parendi's parallel bitcoin beats its single-tile rate by orders of magnitude.");
+    rule(out, 86)?;
+    writeln!(
+        out,
+        "Shape check: x64 gains nothing from 2 threads on these sizes;"
+    )?;
+    writeln!(
+        out,
+        "Parendi's parallel bitcoin beats its single-tile rate by orders of magnitude."
+    )?;
+    Ok(())
 }

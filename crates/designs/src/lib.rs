@@ -15,7 +15,8 @@
 //! * [`isa`] — an RV32I assembler and golden-model interpreter.
 //!
 //! [`Benchmark`] enumerates the paper's evaluation suite (§6) at the
-//! reproduction's scale; see EXPERIMENTS.md for the scale factors.
+//! reproduction's scale; `figures all` (in `crates/bench`) prints every
+//! figure at that scale, fig10 with its extrapolation factor.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
 //! The client library: one struct shared by the integration tests and
-//! the `serve_load` load generator, so every consumer speaks the exact
-//! same protocol.
+//! the `benchmark/` `serve_mixed` workload, so every consumer speaks
+//! the exact same protocol.
 
 use crate::proto::{
     kind, read_frame, write_frame, BatchSummary, LaneResult, ProtoError, ScenarioBatch,

@@ -19,7 +19,7 @@
 //! * [`server`] — the daemon: accept loop, lane packing, the gang
 //!   permit pool, per-lane retire streaming;
 //! * [`client`] — the [`Client`] library the tests and the
-//!   `serve_load` load generator share.
+//!   `benchmark/` `serve_mixed` workload share.
 //!
 //! Wire protocol, cache keying, the lane-packing policy, and shutdown
 //! semantics are documented in `docs/SERVE.md`; the `PARENDI_SERVE_*`

@@ -36,8 +36,9 @@ use parendi_core::{compile, CompileKey, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_rtl::Circuit;
 use parendi_sim::{GangSimulator, Precompiled, StimulusSet, VcdWriter};
-use parendi_telemetry::{Counter, MetricsRegistry};
+use parendi_telemetry::{env_knob, Counter, MetricsRegistry};
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,14 +62,13 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Reads every knob from the environment, with defaults sized for
     /// a CI runner: socket `/tmp/parendi-serve.sock`, 8 cache entries,
-    /// 2 simultaneous gangs × 2 engine threads.
+    /// 2 simultaneous gangs × 2 engine threads. The three counts must
+    /// be integers ≥ 1; anything else is the default, said once on
+    /// stderr.
     pub fn from_env() -> Self {
-        fn num(var: &str, default: usize) -> usize {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&v| v >= 1)
-                .unwrap_or(default)
+        fn num(var: &'static str, default: usize) -> usize {
+            let default = NonZeroUsize::new(default).expect("defaults are positive");
+            env_knob(var, default).get()
         }
         ServeConfig {
             socket: std::env::var_os("PARENDI_SERVE_SOCKET")

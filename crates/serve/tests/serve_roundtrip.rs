@@ -406,3 +406,77 @@ fn shutdown_removes_the_socket() {
         "no daemon must answer after shutdown"
     );
 }
+
+/// The `parendi-serve` binary itself, through its three invocations:
+/// the bare daemon binds its socket, `--stats` prints the metrics and
+/// `--stop` confirms (both exit 0), after which the daemon process
+/// exits cleanly and its socket file is gone; an unknown flag exits
+/// non-zero with the usage line.
+#[test]
+fn daemon_binary_lifecycle() {
+    use std::process::{Child, Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    /// The daemon process; a failed assertion must not leave it behind.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    /// Polls `ready` for up to ten seconds.
+    fn within_10s(mut ready: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            if ready() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        false
+    }
+
+    let socket = test_socket("binary");
+    let _ = std::fs::remove_file(&socket);
+    let serve = |args: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_parendi-serve"));
+        cmd.args(args).env("PARENDI_SERVE_SOCKET", &socket);
+        cmd
+    };
+
+    let mut daemon = Daemon(
+        serve(&[])
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("start parendi-serve"),
+    );
+    assert!(
+        within_10s(|| Client::connect(&socket).is_ok()),
+        "daemon never answered on {}",
+        socket.display()
+    );
+
+    let stats = serve(&["--stats"]).output().expect("run --stats");
+    let text = String::from_utf8_lossy(&stats.stdout);
+    assert!(stats.status.success(), "--stats failed: {stats:?}");
+    assert!(text.contains("serve_cache_hits"), "no metrics in: {text}");
+
+    let stopped = serve(&["--stop"]).output().expect("run --stop");
+    assert!(stopped.status.success(), "--stop failed: {stopped:?}");
+    let mut exit = None;
+    assert!(
+        within_10s(|| {
+            exit = daemon.0.try_wait().expect("poll daemon");
+            exit.is_some()
+        }),
+        "daemon still running after --stop"
+    );
+    assert!(exit.is_some_and(|e| e.success()), "daemon exit: {exit:?}");
+    assert!(!socket.exists(), "socket file must be removed on exit");
+
+    let bad = serve(&["--frobnicate"]).output().expect("run bad flag");
+    assert!(!bad.status.success(), "an unknown flag must fail");
+    let usage = String::from_utf8_lossy(&bad.stderr);
+    assert!(usage.contains("usage: parendi-serve"), "{usage}");
+}

@@ -36,9 +36,7 @@
 //! in contiguous runs of near-equal modelled cost (neighbouring tiles
 //! share a worker, so most channels never cross threads — see
 //! [`FoldReport`]), and each worker's off-chip traffic is flushed
-//! eagerly per tile so the modeled link transfer overlaps the remaining
-//! tiles' compute (the hidden portion is reported as
-//! [`BspPhases::overlap_s`]).
+//! eagerly per tile, as soon as that tile's compute finishes.
 //!
 //! The only synchronization in the steady-state loop is one
 //! publish-then-wait-on-neighbours per cycle (`engine::sync::EpochSync`): a
@@ -100,19 +98,13 @@ pub struct BspPhases {
     /// (step programs, register latches, on-chip mailbox pushes).
     pub compute_s: f64,
     /// Seconds the straggler worker spent on cross-chip traffic: the
-    /// flush copies plus the *residual* modeled link wait that the
-    /// flush/compute overlap could not hide (zero on single-chip
-    /// partitions).
+    /// flush copies plus, on a staged transport, the wait for inbound
+    /// pair frames (zero on single-chip partitions).
     pub offchip_s: f64,
     /// Seconds the straggler worker spent in communication phases:
     /// the cycle's single wait on its neighbours plus record
     /// application (only tiles holding arrays have any).
     pub exchange_s: f64,
-    /// Modeled off-chip link seconds hidden under subsequent tile
-    /// compute by the eager flush — the time the flush/compute overlap
-    /// recovered versus a serialized flush (zero when the spin model is
-    /// off or nothing overlapped).
-    pub overlap_s: f64,
     /// Per-tile phase split, indexed by tile — the measured counterpart
     /// of the Fig. 6 straggler histograms, populated for single-lane
     /// *and* gang runs.
@@ -136,7 +128,6 @@ impl Default for BspPhases {
             compute_s: 0.0,
             offchip_s: 0.0,
             exchange_s: 0.0,
-            overlap_s: 0.0,
             per_tile: Vec::new(),
             cycles: 0,
             lanes: 1,
@@ -347,16 +338,6 @@ impl<'c> BspSimulator<'c> {
     /// partitions).
     pub fn offchip_channels(&self) -> usize {
         self.core.channels() - self.core.onchip_mailboxes
-    }
-
-    /// Sets the artificial per-word delay (in spin-loop iterations)
-    /// charged to the modeled off-chip link while flushing cross-chip
-    /// mailboxes. The link is asynchronous: its occupancy overlaps the
-    /// worker's remaining tile compute, and only the residual is waited
-    /// out (see [`BspPhases::overlap_s`]). Functional results are
-    /// unaffected. Takes effect from the next [`run`](Self::run).
-    pub fn set_offchip_spin_per_word(&mut self, spins: u32) {
-        self.core.set_offchip_spin(spins);
     }
 
     /// Drives an input (held until changed).

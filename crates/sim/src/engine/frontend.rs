@@ -30,7 +30,7 @@ use super::sync::{Link, Mailbox};
 use crate::exec::bytecode::{bin1_opc, op, un1_opc, Code};
 use crate::exec::lower::PackPlan;
 use crate::simd::VecIsa;
-use parendi_core::routing::{ChannelClass, Routing, PORT_RECORD_HEADER_WORDS};
+use parendi_core::routing::{ChannelClass, Routing};
 use parendi_core::Partition;
 use parendi_rtl::bits::words_for;
 use parendi_rtl::{Circuit, InputId, NodeKind};
@@ -562,7 +562,7 @@ fn dump_code_stats(name: &str, programs: &[Program], lanes: usize, packed: bool,
 
 /// Aggregates every tile program's opcode/width and adjacent-pair
 /// histograms into a queryable [`CodeStats`] — the same data the
-/// `PARENDI_CODE_STATS` stderr dump prints, exposed for `perf_report`.
+/// `PARENDI_CODE_STATS` stderr dump prints, exposed for `figures report`.
 pub(crate) fn collect_code_stats(programs: &[Program]) -> parendi_telemetry::CodeStats {
     let mut hist: BTreeMap<(&'static str, u32), u64> = BTreeMap::new();
     let mut pairs: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();
@@ -1102,12 +1102,6 @@ fn build_program(
         }
     }
 
-    let offchip_words = offchip_sends.iter().map(|s| s.nw as u64).sum::<u64>()
-        + offchip_port_sends
-            .iter()
-            .map(|ps| (PORT_RECORD_HEADER_WORDS + ps.nw) as u64 * ps.dests.len() as u64)
-            .sum::<u64>();
-
     // Lower to bytecode. In packed mode the lowering routes eligible
     // 1-bit computation through the packed arena and returns where each
     // packed net landed, which resolves the raw packed commits/sends.
@@ -1159,7 +1153,6 @@ fn build_program(
     };
     let packed_sends = resolve_sends(&raw_packed_sends);
     let offchip_packed_sends = resolve_sends(&raw_offchip_packed_sends);
-    let offchip_packed_words = offchip_packed_sends.len() as u64 * pw as u64;
     for &nid in &order {
         node_off[nid as usize] = UNSET;
     }
@@ -1176,12 +1169,10 @@ fn build_program(
         offchip_port_sends,
         applies,
         outputs,
-        offchip_words,
         packed_words,
         packed_commits,
         packed_sends,
         offchip_packed_sends,
-        offchip_packed_words,
         const_packs,
     }
 }

@@ -215,10 +215,6 @@ pub(crate) struct Program {
     pub applies: Vec<Apply>,
     /// Primary outputs this tile computes: `(output id, arena offset)`.
     pub outputs: Vec<(u32, u32)>,
-    /// Single-lane *strided* words this tile flushes across chip
-    /// boundaries per cycle (register sends plus full port records) —
-    /// charged to the modeled link once per active lane.
-    pub offchip_words: u64,
     /// Words of the tile's packed scratch arena (packed mode only).
     pub packed_words: usize,
     /// Packed 1-bit register latches.
@@ -227,10 +223,6 @@ pub(crate) struct Program {
     pub packed_sends: Vec<PackedSend>,
     /// Packed register sends crossing chips (off-chip flush).
     pub offchip_packed_sends: Vec<PackedSend>,
-    /// Total packed words flushed across chip boundaries per cycle —
-    /// already covers every lane (a packed word carries 64 of them), so
-    /// the modeled link charges it once, not per lane.
-    pub offchip_packed_words: u64,
     /// 1-bit constants the packed domain consumes: `(arena offset,
     /// packed slot)` transposed once at engine init, never per cycle.
     pub const_packs: Vec<(u32, u32)>,

@@ -11,7 +11,7 @@
 //! and the inline one-thread path, touch no sync state at all.
 
 use crate::bsp::{FoldReport, WorkerFold};
-use parendi_telemetry::Counter;
+use parendi_telemetry::{env_knob, Counter};
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -89,10 +89,10 @@ impl EpochSync {
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         // `PARENDI_SPIN_LIMIT` overrides the spin budget — raise it on
         // big multicore boxes where cycles are short, 0 forces parking.
-        let spin_limit = std::env::var("PARENDI_SPIN_LIMIT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if neighbors.len() <= cores { 1 << 14 } else { 0 });
+        let spin_limit = env_knob(
+            "PARENDI_SPIN_LIMIT",
+            if neighbors.len() <= cores { 1 << 14 } else { 0 },
+        );
         let slot = |_| EpochSlot {
             done: AtomicU64::new(0),
             parked: AtomicBool::new(false),

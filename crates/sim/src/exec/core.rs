@@ -23,7 +23,7 @@ use parendi_telemetry::{
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::thread::JoinHandle;
 
@@ -70,7 +70,6 @@ pub(super) struct CoreShared {
     pub(super) cmd_start: AtomicU64,
     pub(super) cmd_timed: AtomicBool,
     pub(super) exit: AtomicBool,
-    pub(super) offchip_spin: AtomicU32,
     /// Per-worker phase nanoseconds of the last timed run (one slot
     /// without a pool).
     pub(super) phase_ns: Vec<Mutex<PhaseAcc>>,
@@ -421,7 +420,6 @@ impl<'c> EngineCore<'c> {
             cmd_start: AtomicU64::new(0),
             cmd_timed: AtomicBool::new(false),
             exit: AtomicBool::new(false),
-            offchip_spin: AtomicU32::new(0),
             phase_ns: (0..worker_count.max(1))
                 .map(|_| Mutex::new(PhaseAcc::default()))
                 .collect(),
@@ -499,10 +497,6 @@ impl<'c> EngineCore<'c> {
 
     pub(crate) fn channels(&self) -> usize {
         self.shared.channels.len()
-    }
-
-    pub(crate) fn set_offchip_spin(&self, spins: u32) {
-        self.shared.offchip_spin.store(spins, Ordering::Relaxed);
     }
 
     /// Total bytes the off-chip transport has carried so far (whole

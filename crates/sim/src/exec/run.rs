@@ -4,13 +4,11 @@
 //!
 //! A cycle is `compute · flush · publish · wait-on-neighbours ·
 //! exchange`, and the loop falls from the exchange straight into the
-//! next compute. The off-chip flush models an asynchronous gateway
-//! link: as soon as a tile's compute finishes its cross-chip words are
-//! copied into the epoch-`c+1` aggregate (legal under the double-buffer
-//! epoch discipline) and the *modeled* link occupancy is scheduled as a
-//! deadline; the worker keeps computing its remaining tiles and spins
-//! out only the residual it failed to hide before it publishes. The
-//! hidden portion is reported as `BspPhases::overlap_s`.
+//! next compute. The off-chip flush is eager: as soon as a tile's
+//! compute finishes its cross-chip words are copied into the
+//! epoch-`c+1` aggregate (legal under the double-buffer epoch
+//! discipline), so a staged transport ships them while the worker
+//! computes its remaining tiles.
 
 use super::core::{CoreShared, EngineCore};
 use super::dispatch::exec_code;
@@ -23,29 +21,8 @@ use parendi_telemetry::{SpanKind, TraceBuf, TraceEvent, TraceLevel, TraceSink, N
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Host nanoseconds per `spin_loop` iteration, measured once per
-/// process (used to convert the off-chip spin knob into a modeled link
-/// deadline the flush/compute overlap can schedule against).
-fn ns_per_spin() -> f64 {
-    static SPIN_NS: OnceLock<f64> = OnceLock::new();
-    *SPIN_NS.get_or_init(|| {
-        let mut iters = 1u64 << 18;
-        loop {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::spin_loop();
-            }
-            let s = t.elapsed();
-            if s.as_millis() >= 5 || iters >= 1 << 28 {
-                return s.as_nanos() as f64 / iters as f64;
-            }
-            iters *= 4;
-        }
-    })
-}
+use std::sync::MutexGuard;
+use std::time::Instant;
 
 /// Per-run accumulator of one worker's phase nanoseconds.
 #[derive(Default, Clone, Copy)]
@@ -53,7 +30,6 @@ pub(super) struct PhaseAcc {
     comp: u64,
     off: u64,
     exch: u64,
-    overlap: u64,
 }
 
 /// One worker's per-run tracing state: its track buffer, the sink
@@ -127,7 +103,6 @@ pub(super) struct RunCtx<'a> {
     start: u64,
     cycles: u64,
     timed: bool,
-    spin: u32,
     /// Worker slot (0 for the inline path).
     who: usize,
     /// Per tile of `mine`: (compute, offchip, exchange) ns. Empty
@@ -251,7 +226,6 @@ impl EngineCore<'_> {
             compute_s: acc.comp as f64 * 1e-9,
             offchip_s: acc.off as f64 * 1e-9,
             exchange_s: acc.exch as f64 * 1e-9,
-            overlap_s: acc.overlap as f64 * 1e-9,
             per_tile,
             cycles,
             lanes: active_count,
@@ -283,7 +257,6 @@ fn merge_phases(agg: &mut Option<BspPhases>, ph: BspPhases) {
     acc.compute_s += ph.compute_s;
     acc.offchip_s += ph.offchip_s;
     acc.exchange_s += ph.exchange_s;
-    acc.overlap_s += ph.overlap_s;
     acc.cycles += ph.cycles;
     acc.lanes = ph.lanes;
     if acc.per_tile.len() == ph.per_tile.len() {
@@ -349,7 +322,6 @@ fn run_worker(
         start,
         cycles,
         timed,
-        spin: shared.offchip_spin.load(Ordering::Relaxed),
         who,
         tile_ns: vec![(0, 0, 0); if timed { mine.len() } else { 0 }],
         acc: PhaseAcc::default(),
@@ -368,9 +340,8 @@ fn run_worker(
 }
 
 /// **The** shared cycle loop: computes this worker's tiles, eagerly
-/// flushes each tile's off-chip traffic so the modeled link transfer
-/// overlaps the remaining tiles' compute, pays only the residual link
-/// time, publishes the cycle's epoch and waits for its neighbours —
+/// flushes each tile's off-chip traffic, lands its inbound pair frames,
+/// publishes the cycle's epoch and waits for its neighbours —
 /// the loop's single sync point — then applies the exchange and falls
 /// into the next cycle. Used verbatim by pool workers and the inline
 /// (no-pool) path, which has no sync state to touch.
@@ -383,7 +354,6 @@ fn cycle_loop<L: LaneSet>(ctx: &mut RunCtx<'_>, lanes: L) {
         start,
         cycles,
         timed,
-        spin,
         who,
         ref mut tile_ns,
         ref mut acc,
@@ -395,20 +365,10 @@ fn cycle_loop<L: LaneSet>(ctx: &mut RunCtx<'_>, lanes: L) {
     // per-tile histogram (`tile_ns`, empty unless timed) and the trace
     // spans are fed from the same timestamps.
     let instr = timed || tracer.is_some();
-    let any_off = mine.iter().any(|&pi| shared.programs[pi].has_offchip());
     // Where producing tiles flush off-chip segments: the consumer
     // fabric itself (in-process), or the transport's staging copy.
     let flush_boxes: &[Mailbox] = shared.transport.staging().unwrap_or(&shared.channels);
     let any_pairs = shared.onchip < shared.channels.len();
-    // Modeled link nanoseconds per flushed word (the spin knob converted
-    // into wall time so the transfer can be scheduled asynchronously).
-    // Strided words cross once per active lane; packed words already
-    // carry 64 lanes each and cross once.
-    let spin_ns = if any_off && spin > 0 {
-        spin as f64 * ns_per_spin()
-    } else {
-        0.0
-    };
     let pw = shared.pw;
     // The packed retire mask is stable for the whole run (finish_lane
     // needs `&mut` on the facade, which run_inner holds). All-live
@@ -455,10 +415,6 @@ fn cycle_loop<L: LaneSet>(ctx: &mut RunCtx<'_>, lanes: L) {
     // worker's compute + off-chip + exchange columns sum to its run.
     let mut mark = instr.then(Instant::now);
     for c in start..start + cycles {
-        // The modeled link-transfer deadline and the total occupancy
-        // scheduled this cycle (for the overlap accounting).
-        let mut link_due: Option<Instant> = None;
-        let mut link_total_ns = 0u64;
         for (k, (guard, &pi)) in guards.iter_mut().zip(mine).enumerate() {
             let prog = &shared.programs[pi];
             compute_phase(
@@ -491,20 +447,11 @@ fn cycle_loop<L: LaneSet>(ctx: &mut RunCtx<'_>, lanes: L) {
             if prog.has_offchip() {
                 // Eager flush: the epoch-c+1 aggregate segments have no
                 // reader until this worker publishes, so copying now is
-                // legal and lets the modeled transfer overlap the remaining
-                // tiles' compute. Staged transports redirect the flush
-                // into their producer-side staging fabric.
+                // legal and lets a staged transport ship them under the
+                // remaining tiles' compute. Staged transports redirect the
+                // flush into their producer-side staging fabric.
                 offchip_flush(prog, guard, flush_boxes, lanes, c, pw, mask);
                 shared.transport.tile_flushed(pi, ((c & 1) ^ 1) as usize, c);
-                if spin_ns > 0.0 {
-                    let words = prog.offchip_words as f64 * lanes.count() as f64
-                        + prog.offchip_packed_words as f64;
-                    let ns = (words * spin_ns) as u64;
-                    let now = Instant::now();
-                    let base = link_due.map_or(now, |d| d.max(now));
-                    link_due = Some(base + Duration::from_nanos(ns));
-                    link_total_ns += ns;
-                }
                 if let Some(m) = mark {
                     let now = Instant::now();
                     if timed {
@@ -519,34 +466,10 @@ fn cycle_loop<L: LaneSet>(ctx: &mut RunCtx<'_>, lanes: L) {
                 }
             }
         }
-        // Residual link wait: whatever the remaining compute did not
-        // hide. The hidden part is the recovered overlap.
-        if let Some(due) = link_due {
-            let now = Instant::now();
-            if due > now {
-                let wait = due.duration_since(now).as_nanos() as u64;
-                while Instant::now() < due {
-                    std::hint::spin_loop();
-                }
-                if timed {
-                    acc.off += wait;
-                    acc.overlap += link_total_ns.saturating_sub(wait);
-                }
-                if let Some(m) = mark {
-                    let end = m + Duration::from_nanos(wait);
-                    if let Some(tr) = tracer {
-                        tr.seg(SpanKind::OverlapResidual, NO_TILE, c, m, end);
-                    }
-                    mark = Some(end);
-                }
-            } else if timed {
-                acc.overlap += link_total_ns;
-            }
-        }
         // Staged transports: land this worker's inbound pair frames in
         // the consumer mailboxes before the publish. The wait for remote
         // producers is real measured off-chip latency, so it joins the
-        // link residual in the offchip_s column (a no-op in-process).
+        // flush in the offchip_s column (a no-op in-process).
         if any_pairs {
             shared.transport.complete_recvs(
                 who,

@@ -330,14 +330,6 @@ impl<'c> GangSimulator<'c> {
         self.core.channels() - self.core.onchip_mailboxes
     }
 
-    /// Sets the artificial per-word delay (in spin-loop iterations)
-    /// charged to the modeled off-chip link. The gang flush charges it
-    /// per active lane per word — every lane's traffic crosses the
-    /// modeled link. Functional results are unaffected.
-    pub fn set_offchip_spin_per_word(&mut self, spins: u32) {
-        self.core.set_offchip_spin(spins);
-    }
-
     /// Drives an input in **one lane** (held until changed).
     ///
     /// # Panics

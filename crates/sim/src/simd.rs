@@ -28,8 +28,9 @@ use parendi_rtl::{BinOp, UnOp};
 /// arm, so every sweep through it pays a call; the inlined loop wins
 /// until a sweep is long enough for the wider vectors to amortize it.
 ///
-/// `gang_lanes --quick`, 1 thread, aggregate lane-kcycles/s on
-/// sprng32 / sr3 / ca256 (2-core AVX2 host, ranges over 2–3 runs).
+/// The since-deleted `gang_lanes --quick` sweep bin (PR 12), 1 thread,
+/// aggregate lane-kcycles/s on sprng32 / sr3 / ca256 (2-core AVX2 host,
+/// ranges over 2–3 runs).
 /// *inline* is the portable loop, *avx2* the same loop behind the
 /// wrapper; *intrinsics* and *lane-major* are the hand-written
 /// `std::arch` kernels and the `[lane × words]` gang layout this module

@@ -72,8 +72,7 @@
 //! *every* backend (the in-process path conveys the same buffer
 //! implicitly through shared memory). Receive waits are timed by the
 //! cycle loop into the same `BspPhases::offchip_s` column as the
-//! modeled link residual, so fig10/fig17 print comparable measured
-//! columns for both backends.
+//! flush copies, so the column means the same thing for both backends.
 //!
 //! # Failure behavior
 //!
@@ -219,13 +218,10 @@ impl TransportError {
 
 /// The connection-setup / blocking-read budget: `Some(duration)` from
 /// `PARENDI_TRANSPORT_TIMEOUT_MS` (default 30 000 ms), or `None` when
-/// the variable is set to `0` (wait forever). Malformed values fall
-/// back to the default.
+/// the variable is set to `0` (wait forever). A malformed value is the
+/// default, and says so once on stderr.
 pub(crate) fn transport_timeout() -> Option<Duration> {
-    let ms = std::env::var("PARENDI_TRANSPORT_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(30_000);
+    let ms = parendi_telemetry::env_knob("PARENDI_TRANSPORT_TIMEOUT_MS", 30_000u64);
     (ms != 0).then(|| Duration::from_millis(ms))
 }
 

@@ -182,7 +182,6 @@ fn multi_chip_worker_groups_are_equivalent() {
                             "cross-chip traffic must ride aggregate mailboxes"
                         );
                     }
-                    bsp.set_offchip_spin_per_word(8);
                     reference.step_n(50);
                     let ph = bsp.run_timed(50);
                     assert_eq!(

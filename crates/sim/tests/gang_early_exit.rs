@@ -240,7 +240,6 @@ fn gang_timed_runs_populate_per_tile_histograms() {
     let comp = compile(&c, &cfg).expect("compiles");
     for threads in [1usize, 3] {
         let mut gang = GangSimulator::new(&c, &comp.partition, threads, 4);
-        gang.set_offchip_spin_per_word(4);
         gang.run(10);
         let ph = gang.run_timed(30);
         assert_eq!(

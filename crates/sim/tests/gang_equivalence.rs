@@ -130,7 +130,6 @@ fn input_free_gang_lanes_all_match_reference() {
     let comp = compile(&c, &cfg).expect("compiles");
     let mut reference = Simulator::new(&c);
     let mut gang = GangSimulator::new(&c, &comp.partition, 4, 8);
-    gang.set_offchip_spin_per_word(8);
     reference.step_n(60);
     gang.run(60);
     for lane in 0..8 {

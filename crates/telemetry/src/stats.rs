@@ -1,7 +1,7 @@
 //! Static bytecode statistics: the opcode/width and adjacent-pair
 //! histograms the engine compiles from its tile programs, promoted
 //! from an opt-in stderr dump to a first-class queryable type so
-//! report tools (`perf_report`) can print top-N opcodes without
+//! report tools (`figures report`) can print top-N opcodes without
 //! re-parsing log output.
 
 /// One opcode/width bucket of the static histogram.

@@ -39,6 +39,20 @@ pub enum TraceLevel {
     Tile,
 }
 
+/// The `PARENDI_TRACE_LEVEL` spellings: `phase` or `tile` (tracing is
+/// switched off by leaving `PARENDI_TRACE` unset, not by a level).
+impl std::str::FromStr for TraceLevel {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s {
+            "phase" => Ok(TraceLevel::Phase),
+            "tile" => Ok(TraceLevel::Tile),
+            _ => Err(()),
+        }
+    }
+}
+
 /// Trace configuration handed to the engine at build time.
 #[derive(Clone, Debug, Default)]
 pub struct TraceConfig {
@@ -91,19 +105,17 @@ impl TraceConfig {
 
     /// Reads `PARENDI_TRACE` (an output path; unset, empty, or `0`
     /// disables tracing) and `PARENDI_TRACE_LEVEL` (`phase` | `tile`,
-    /// default `tile`). Because one process may build many engines
-    /// (the fig bins sweep backends and chip counts), the second and
-    /// later env-configured engines get a numbered path — `out.json`,
-    /// `out.1.json`, `out.2.json`, … — instead of clobbering the first.
+    /// default `tile`; anything else is `tile` too, and says so once on
+    /// stderr). Because one process may build many engines (a test
+    /// binary, the serve daemon), the second and later env-configured
+    /// engines get a numbered path — `out.json`, `out.1.json`,
+    /// `out.2.json`, … — instead of clobbering the first.
     pub fn from_env() -> Self {
         let path = match std::env::var("PARENDI_TRACE") {
             Ok(v) if !v.is_empty() && v != "0" => v,
             _ => return Self::off(),
         };
-        let level = match std::env::var("PARENDI_TRACE_LEVEL").as_deref() {
-            Ok("phase") => TraceLevel::Phase,
-            _ => TraceLevel::Tile,
-        };
+        let level = crate::env_knob("PARENDI_TRACE_LEVEL", TraceLevel::Tile);
         static SEQ: AtomicUsize = AtomicUsize::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
         let path = if n == 0 {
@@ -137,28 +149,24 @@ pub enum SpanKind {
     /// Copying a tile's off-chip send segments into the pair
     /// aggregates (staging or direct).
     OffchipFlush = 1,
-    /// The modeled link residual the worker actually waited out (the
-    /// part compute did not overlap).
-    OverlapResidual = 2,
     /// A transport writer pushing one frame into its socket.
-    TransportSend = 3,
+    TransportSend = 2,
     /// Blocking until the cycle's inbound frames arrived.
-    TransportRecv = 4,
+    TransportRecv = 3,
     /// Waiting, at the cycle's one sync point, for the workers this
     /// worker shares a mailbox with.
-    BarrierWait = 5,
+    BarrierWait = 4,
     /// A tile program's on-chip exchange phase.
-    Exchange = 6,
+    Exchange = 5,
 }
 
 /// Number of [`SpanKind`] variants.
-pub const SPAN_KINDS: usize = 7;
+pub const SPAN_KINDS: usize = 6;
 
 impl SpanKind {
     pub const ALL: [SpanKind; SPAN_KINDS] = [
         SpanKind::Compute,
         SpanKind::OffchipFlush,
-        SpanKind::OverlapResidual,
         SpanKind::TransportSend,
         SpanKind::TransportRecv,
         SpanKind::BarrierWait,
@@ -170,7 +178,6 @@ impl SpanKind {
         match self {
             SpanKind::Compute => "compute",
             SpanKind::OffchipFlush => "offchip_flush",
-            SpanKind::OverlapResidual => "overlap_residual",
             SpanKind::TransportSend => "transport_send",
             SpanKind::TransportRecv => "transport_recv",
             SpanKind::BarrierWait => "barrier_wait",
@@ -182,7 +189,7 @@ impl SpanKind {
     pub fn category(self) -> &'static str {
         match self {
             SpanKind::Compute => "compute",
-            SpanKind::OffchipFlush | SpanKind::OverlapResidual => "offchip",
+            SpanKind::OffchipFlush => "offchip",
             SpanKind::TransportSend | SpanKind::TransportRecv => "transport",
             SpanKind::BarrierWait => "sync",
             SpanKind::Exchange => "exchange",

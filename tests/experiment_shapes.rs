@@ -1,6 +1,6 @@
 //! Shape assertions for the paper's headline claims, run against the
-//! same code paths the figure binaries use (EXPERIMENTS.md records the
-//! full regenerated outputs).
+//! same code paths the figures use (`figures all` in `crates/bench`
+//! regenerates the full outputs).
 
 use parendi::baseline::VerilatorModel;
 use parendi::core::{compile, MultiChipStrategy, PartitionConfig};
