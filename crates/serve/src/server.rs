@@ -13,8 +13,15 @@
 //!
 //! A batch of `S` scenarios compiles for `S.next_power_of_two()` lanes
 //! — bucketing batch sizes so nearby sizes share one cache entry — and
-//! the surplus lanes are retired before the first cycle (a retired
-//! lane costs no compute). `packed auto` resolves to the bit-packed
+//! the surplus lanes are retired before the first cycle. Scenarios
+//! take gang lanes by **descending horizon** (the longest-running one
+//! gets lane 0, ties in scenario order; surplus lanes sit above them
+//! all), because the engine computes the dense lane range up to its
+//! highest live lane: a lane retired at the top costs nothing from
+//! then on, one retired *below* a live lane would keep being
+//! recomputed as scratch. Gang lanes never leave the daemon — results,
+//! events and the VCD all name the client's scenario index. `packed
+//! auto` resolves to the bit-packed
 //! layout when the design is 1-bit-dominated (≥ 3/4 of registers +
 //! inputs are 1-bit) and the gang is at least 2 wide; the resolved
 //! flag is part of the compile key, so `auto` and an explicit
@@ -452,11 +459,20 @@ fn handle_submit(
     for l in scenarios..lanes {
         sim.finish_lane(l);
     }
+    // Scenario → gang lane, longest horizon first (the sort is stable:
+    // ties keep scenario order), so lanes retire from the top down and
+    // the engine's compute range shrinks with every horizon reached.
+    let mut by_horizon: Vec<usize> = (0..scenarios).collect();
+    by_horizon.sort_by_key(|&si| std::cmp::Reverse(batch.scenarios[si].cycles));
+    let mut lane_of = vec![0usize; scenarios];
+    for (lane, &si) in by_horizon.iter().enumerate() {
+        lane_of[si] = lane;
+    }
 
     let mut stim = StimulusSet::new(lanes as u32);
     for (si, sc) in batch.scenarios.iter().enumerate() {
         for (cycle, input, value) in &sc.events {
-            stim.drive(*cycle, si as u32, input, value.clone());
+            stim.drive(*cycle, lane_of[si] as u32, input, value.clone());
         }
     }
 
@@ -467,14 +483,16 @@ fn handle_submit(
         .map(|o| o.name.as_str())
         .collect();
     let mut vcd_buf = Vec::new();
+    // The VCD follows scenario `vcd_lane` on whichever gang lane it got.
     let mut vcd = match batch.vcd_lane {
-        Some(l) => {
+        Some(si) => {
+            let l = lane_of[si as usize];
             let mut w = VcdWriter::new(&mut vcd_buf, &entry.circuit)
                 .map_err(|e| ProtoError::Remote(format!("vcd setup failed: {e}")))?;
             // Sample the pre-cycle-0 state, like `dump_vcd_lane`.
-            w.sample_gang_lane(&sim, l as usize)
+            w.sample_gang_lane(&sim, l)
                 .map_err(|e| ProtoError::Remote(format!("vcd sample failed: {e}")))?;
-            Some((l as usize, w))
+            Some((l, w))
         }
         None => None,
     };
@@ -505,8 +523,8 @@ fn handle_submit(
             if sc.cycles != h {
                 continue;
             }
-            let values = sim.peek_outputs_lane(si);
-            sim.finish_lane(si);
+            let values = sim.peek_outputs_lane(lane_of[si]);
+            sim.finish_lane(lane_of[si]);
             let lane = LaneResult {
                 lane: si as u32,
                 outputs: output_names
@@ -519,9 +537,9 @@ fn handle_submit(
         }
     }
 
-    if let Some((l, w)) = vcd {
+    if let (Some(si), Some((_, w))) = (batch.vcd_lane, vcd) {
         drop(w);
-        let mut payload = format!("lane {l}\n").into_bytes();
+        let mut payload = format!("lane {si}\n").into_bytes();
         payload.extend_from_slice(&vcd_buf);
         write_frame(out, kind::VCD, &payload)?;
     }

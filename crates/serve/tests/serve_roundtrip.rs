@@ -8,9 +8,11 @@ use parendi_core::{compile, CompileKey, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_rtl::bits::Bits;
 use parendi_serve::cache::{CacheEntry, CompileCache};
+use parendi_serve::proto::{kind, read_frame, write_frame};
 use parendi_serve::{spawn, Client, PackedChoice, ProtoError, ScenarioBatch, ServeConfig};
-use parendi_sim::{dump_vcd_lane, GangSimulator, Precompiled, StimulusSet};
+use parendi_sim::{dump_vcd_lane, GangSimulator, Precompiled, StimulusSet, VcdWriter};
 use parendi_telemetry::MetricsRegistry;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -88,6 +90,106 @@ fn daemon_matches_direct_gang_run() {
         for ((name, got), want) in got.outputs.iter().zip(&want) {
             assert_eq!(got, want, "lane {lane} output {name} must be bit-identical");
         }
+    }
+
+    stop(handle, &path);
+}
+
+/// Which gang lane a scenario runs on is the daemon's business: it
+/// orders them by descending horizon so the engine's compute range
+/// shrinks as they retire. The same five scenarios (bucket 8, three
+/// surplus lanes; horizons with a tie) submitted in ascending and in
+/// descending horizon order return the same outputs under the client's
+/// own scenario indices and the same waveform for the same scenario,
+/// all equal to a direct gang that keeps scenario `i` on lane `i`.
+#[test]
+fn lane_order_is_invisible_to_clients() {
+    const HORIZONS: [u64; 5] = [10, 17, 17, 26, 33];
+    const VCD_SCENARIO: usize = 1;
+    // Scenario `si`'s own `inj` pulse train.
+    let pulses = |si: u64| [(si, 1u64), (si + 1 + si % 2, 0), (7 + si, 1)];
+    // The batch listing the scenarios in `order`.
+    let batch_in = |order: [usize; 5]| {
+        let mut batch = ScenarioBatch::new("ca64", 4);
+        batch.packed = PackedChoice::Off;
+        for si in order {
+            let at = batch.scenario(HORIZONS[si]);
+            for (cycle, v) in pulses(si as u64) {
+                batch.drive(at, cycle, "inj", Bits::from_u64(1, v));
+            }
+            if si == VCD_SCENARIO {
+                batch.vcd_lane = Some(at);
+            }
+        }
+        batch
+    };
+
+    // The direct run, scenario `i` on lane `i`, stepped cycle by cycle.
+    let circuit = Benchmark::parse("ca64").unwrap().build();
+    let comp = compile(&circuit, &PartitionConfig::with_tiles(4)).expect("compile");
+    let mut sim = GangSimulator::new(&circuit, &comp.partition, 2, 8);
+    let mut stim = StimulusSet::new(8);
+    for si in 0..5 {
+        for (cycle, v) in pulses(si as u64) {
+            stim.drive(cycle, si as u32, "inj", Bits::from_u64(1, v));
+        }
+    }
+    for surplus in 5..8 {
+        sim.finish_lane(surplus);
+    }
+    let mut want: Vec<Vec<Bits>> = vec![Vec::new(); 5];
+    let mut want_vcd = Vec::new();
+    let mut vcd = VcdWriter::new(&mut want_vcd, &circuit).expect("vcd header");
+    vcd.sample_gang_lane(&sim, VCD_SCENARIO).expect("sample");
+    for now in 1..=HORIZONS[4] {
+        sim.run_stimulus(1, &stim);
+        if now <= HORIZONS[VCD_SCENARIO] {
+            vcd.sample_gang_lane(&sim, VCD_SCENARIO).expect("sample");
+        }
+        for si in (0..5).filter(|&si| HORIZONS[si] == now) {
+            want[si] = sim.peek_outputs_lane(si);
+            sim.finish_lane(si);
+        }
+    }
+    drop(vcd);
+    let want_vcd = String::from_utf8(want_vcd).unwrap();
+
+    let (handle, path) = start("laneorder");
+    let mut client = Client::connect(&path).expect("connect");
+    for order in [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]] {
+        let batch = batch_in(order);
+        let result = client.submit(&batch).expect("submit");
+        assert_eq!(result.summary.gang_lanes, 8);
+        assert_eq!(result.lanes.len(), 5);
+        for (at, si) in order.into_iter().enumerate() {
+            let got = result.lane(at as u32).expect("lane result");
+            let got: Vec<&Bits> = got.outputs.iter().map(|(_, v)| v).collect();
+            assert_eq!(
+                got,
+                want[si].iter().collect::<Vec<_>>(),
+                "order {order:?}: scenario {si}, the client's lane {at}"
+            );
+        }
+        assert_eq!(
+            result.vcd.as_deref(),
+            Some(want_vcd.as_str()),
+            "order {order:?}: the waveform follows the scenario, not a gang lane"
+        );
+
+        // On the wire the VCD frame names the client's index too.
+        let mut raw = UnixStream::connect(&path).expect("connect raw");
+        write_frame(&mut raw, kind::SUBMIT, batch.to_text().as_bytes()).expect("submit raw");
+        let header = loop {
+            match read_frame(&mut raw).expect("reply frame") {
+                (kind::VCD, payload) => {
+                    let text = String::from_utf8(payload).unwrap();
+                    break text.split_once('\n').unwrap().0.to_string();
+                }
+                (kind::LANE, _) => {}
+                (k, _) => panic!("frame kind {k} before the VCD"),
+            }
+        };
+        assert_eq!(header, format!("lane {}", batch.vcd_lane.unwrap()));
     }
 
     stop(handle, &path);

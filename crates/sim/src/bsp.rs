@@ -313,7 +313,7 @@ impl<'c> BspSimulator<'c> {
     }
 
     /// Static opcode/width and adjacent-pair statistics of the
-    /// compiled bytecode (the `PARENDI_CODE_STATS` data, queryable).
+    /// compiled bytecode (`figures report` prints them).
     pub fn code_stats(&self) -> parendi_telemetry::CodeStats {
         self.core.code_stats()
     }

@@ -7,9 +7,9 @@
 //! the lowering ([`crate::exec::lower`]); the one decision it owns is
 //! the **order** nodes are visited in, which is also the order arena
 //! slots are bump-allocated in: node-id order for a gang, the
-//! opcode-class [`schedule`] at one lane. `PARENDI_CODE_STATS=1` dumps
-//! the opcode/width and adjacent-pair histograms of a compile — the
-//! data fusion and SIMD-coverage decisions are made from.
+//! opcode-class [`schedule`] at one lane. [`collect_code_stats`] reads
+//! back the opcode/width and adjacent-pair histograms of a compile —
+//! the data fusion and SIMD-coverage decisions are made from.
 //!
 //! # The mailbox fabric
 //!
@@ -493,10 +493,6 @@ impl Compiled {
             .map(|(i, o)| (o.name.clone(), i as u32))
             .collect();
 
-        if std::env::var("PARENDI_CODE_STATS").is_ok_and(|v| !v.is_empty() && v != "0") {
-            dump_code_stats(&circuit.name, &programs, lanes, packed, isa);
-        }
-
         Compiled {
             lanes,
             programs,
@@ -524,45 +520,9 @@ impl Compiled {
     }
 }
 
-/// Dumps aggregate opcode/width and adjacent-pair histograms of every
-/// tile's bytecode to stderr — the `PARENDI_CODE_STATS` hook that
-/// fusion and SIMD-coverage decisions are made from.
-fn dump_code_stats(name: &str, programs: &[Program], lanes: usize, packed: bool, isa: VecIsa) {
-    let stats = collect_code_stats(programs);
-    eprintln!(
-        "[code-stats] {name}: tiles={} ops={} dispatches={} mean_run={:.1} lanes={lanes} \
-         packed={packed} simd={}",
-        stats.tiles,
-        stats.total_ops,
-        stats.dispatches,
-        stats.mean_run_length(),
-        isa.name(),
-    );
-    // Run lengths, bucketed by the next power of two.
-    let mut buckets: BTreeMap<u32, u64> = BTreeMap::new();
-    for &(len, runs) in &stats.run_lengths {
-        *buckets.entry(len.next_power_of_two()).or_insert(0) += runs;
-    }
-    for (upto, runs) in buckets {
-        eprintln!("[code-stats]   runs len<={upto:<5} x{runs}");
-    }
-    for o in &stats.opcodes {
-        eprintln!(
-            "[code-stats]   {:<10} w={:<3} x{}",
-            o.name, o.width, o.count
-        );
-    }
-    for p in stats.top_pairs(16) {
-        eprintln!(
-            "[code-stats]   pair {} -> {} x{}",
-            p.first, p.second, p.count
-        );
-    }
-}
-
 /// Aggregates every tile program's opcode/width and adjacent-pair
-/// histograms into a queryable [`CodeStats`] — the same data the
-/// `PARENDI_CODE_STATS` stderr dump prints, exposed for `figures report`.
+/// histograms into a queryable [`CodeStats`], which `figures report`
+/// prints.
 pub(crate) fn collect_code_stats(programs: &[Program]) -> parendi_telemetry::CodeStats {
     let mut hist: BTreeMap<(&'static str, u32), u64> = BTreeMap::new();
     let mut pairs: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();

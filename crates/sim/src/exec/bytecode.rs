@@ -333,7 +333,7 @@ impl Code {
     /// fused scalar opcode), else its `nw` field (the word count of a
     /// copy or array read), else 0 where width is meaningless (muxes,
     /// transposes, packed sweeps, `WIDE`). Fusion and SIMD-coverage
-    /// decisions read these counts (`PARENDI_CODE_STATS`).
+    /// decisions read these counts (`code_stats()`).
     pub(crate) fn histogram(&self, h: &mut BTreeMap<(&'static str, u32), u64>) {
         self.for_each_op(|opc, imm, _, _| {
             let info = &OPCODES[opc as usize];

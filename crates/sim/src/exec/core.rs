@@ -208,36 +208,20 @@ impl<'c> EngineCore<'c> {
             links,
         } = compiled;
 
-        let tiles: Vec<Mutex<LaneTile>> = programs
+        let mut tiles: Vec<Mutex<LaneTile>> = programs
             .iter()
             .enumerate()
             .map(|(pi, prog)| {
                 let aw = prog.arena_words;
                 let rw = tile_reg_words[pi] as usize;
                 let mut arena_buf = TileBuf::zeroed(aw * lanes);
-                let mut reg_buf = TileBuf::zeroed(rw * lanes + tile_reg_packed[pi] as usize * pw);
-                let (arena, reg_cur) = (&mut arena_buf[..], &mut reg_buf[..]);
-                // Every lane starts from the same constants and register
-                // inits: each word fills its lane row.
+                let reg_buf = TileBuf::zeroed(rw * lanes + tile_reg_packed[pi] as usize * pw);
+                let arena = &mut arena_buf[..];
+                // Every lane starts from the same constants: each word
+                // fills its lane row.
                 for (off, words) in &prog.const_init {
                     for (k, &w) in words.iter().enumerate() {
                         arena[(*off as usize + k) * lanes..][..lanes].fill(w);
-                    }
-                }
-                for (ri, home) in reg_home.iter().enumerate() {
-                    if home.tile != pi as u32 {
-                        continue;
-                    }
-                    let init = circuit.regs[ri].init.words();
-                    if home.packed {
-                        // The init bit broadcast to every lane.
-                        let word = if init[0] & 1 == 1 { u64::MAX } else { 0 };
-                        let d = rw * lanes + home.off as usize * pw;
-                        reg_cur[d..d + pw].fill(word);
-                    } else {
-                        for (k, &w) in init.iter().enumerate() {
-                            reg_cur[(home.off as usize + k) * lanes..][..lanes].fill(w);
-                        }
                     }
                 }
                 let mut arr_words = Vec::new();
@@ -280,6 +264,27 @@ impl<'c> EngineCore<'c> {
                 })
             })
             .collect();
+        // Register inits, every lane alike: one walk over the homes,
+        // each writing its own tile's register file.
+        for (home, reg) in reg_home.iter().zip(&circuit.regs) {
+            if home.tile == u32::MAX {
+                continue;
+            }
+            let tile = tiles[home.tile as usize]
+                .get_mut()
+                .expect("a mutex nobody has locked yet is not poisoned");
+            let init = reg.init.words();
+            if home.packed {
+                // The init bit broadcast to every lane.
+                let word = if init[0] & 1 == 1 { u64::MAX } else { 0 };
+                let d = tile.rw * lanes + home.off as usize * pw;
+                tile.reg_cur[d..d + pw].fill(word);
+            } else {
+                for (k, &w) in init.iter().enumerate() {
+                    tile.reg_cur[(home.off as usize + k) * lanes..][..lanes].fill(w);
+                }
+            }
+        }
 
         // A pool needs two threads and two tiles; otherwise run inline.
         let pool = threads.min(programs.len());
@@ -556,9 +561,12 @@ impl<'c> EngineCore<'c> {
             .is_ok()
     }
 
-    /// Retires `lane`: from the next dispatch on, no step, latch, send,
-    /// or apply touches its state — registers and arrays freeze at
-    /// their current values while the gang keeps running. The retire
+    /// Retires `lane`: from the next run on, no latch, send, or apply
+    /// touches its state — registers, arrays and mailbox words freeze
+    /// at their current values while the gang keeps running. Its arena
+    /// words are scratch from here on: recomputed, and committed
+    /// nowhere, while a higher lane is still live (the bytecode sweeps
+    /// lanes `0..=highest live`), untouched once none is. The retire
     /// cycle is recorded so output peeks keep replaying the lane at
     /// its freeze-epoch mailbox parity.
     pub(crate) fn finish_lane(&mut self, lane: usize) {

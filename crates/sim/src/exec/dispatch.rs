@@ -1,18 +1,20 @@
 //! **The** hot loop: [`exec_code`] walks a tile's `ops` once per cycle
 //! and every dispatched opcode sweeps its operation — at one lane, its
-//! run of operations — across all (active) lanes.
+//! run of operations — across one dense lane range ([`DenseLanes`]:
+//! a retired lane inside the range is recomputed as scratch, see
+//! `exec::lanes`).
 //!
-//! Under [`LaneSet::ONE`] every arm is a plain scalar statement on the
-//! single-lane buffers. For a gang, a lane set exposes two iteration
+//! Under `LaneSet::ONE` every arm is a plain scalar statement on the
+//! single-lane buffers. For a gang, the range exposes two iteration
 //! shapes: `for_each` (one call per lane — transposes, per-lane
-//! gathers) and `for_each_chunk` (one call per maximal run of
-//! consecutive lanes); a chunk of a fused single-word opcode is a dense
+//! gathers) and `for_each_chunk` (one call for the whole range); the
+//! chunk of a fused single-word opcode is a dense
 //! `&[u64]` map handed to the lane kernels of [`crate::simd`], whose
 //! instantiation ([`VecIsa`]) is decided once at engine build from the
 //! CPU and the lane count.
 
 use super::bytecode::{is_run, op, Code};
-use super::lanes::{LaneSet, LaneTile};
+use super::lanes::{DenseLanes, LaneTile};
 use crate::engine::program::Step;
 use crate::engine::scalar::{bin1, eval_op, sext1, un1};
 use crate::engine::sync::Mailbox;
@@ -20,15 +22,15 @@ use crate::simd::{vbin, vconcat, vmux, vsext, vslice, vun, vzext, VecIsa};
 use parendi_rtl::bits::{top_word_mask, word, words_for};
 use parendi_rtl::{BinOp, UnOp};
 
-/// Executes one tile's bytecode at cycle `c` for every lane in `lanes`:
-/// **the** hot loop. One dispatch per instruction. Under [`OneLane`] a
-/// fused single-word opcode is a loop of plain `u64` kernel calls over
-/// its run and copies are block copies; for a gang the same opcode hands each dense lane
-/// chunk to the [`crate::simd`] kernels, copies move lane rows, and
-/// multi-word operations gather one lane at a time through `scratch`
-/// into the slice kernels.
+/// Executes one tile's bytecode at cycle `c` for the dense lane range
+/// `lanes`: **the** hot loop. One dispatch per instruction. Under
+/// `OneLane` a fused single-word opcode is a loop of plain `u64` kernel
+/// calls over its run and copies are block copies; for a gang the same
+/// opcode hands the dense lane chunk to the [`crate::simd`] kernels,
+/// copies move lane rows, and multi-word operations gather one lane at
+/// a time through `scratch` into the slice kernels.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_code<L: LaneSet>(
+pub(crate) fn exec_code<L: DenseLanes>(
     code: &Code,
     tile: &mut LaneTile,
     inputs: &[u64],
@@ -38,8 +40,8 @@ pub(crate) fn exec_code<L: LaneSet>(
     isa: VecIsa,
 ) {
     // Every lane retired: nothing computes, and nothing may decode —
-    // a retired one-lane engine arrives as an empty `LaneList`, whose
-    // match has no arms for the run words one-lane code carries.
+    // a retired one-lane engine arrives as `AllLanes(0)`, whose match
+    // has no arms for the run words one-lane code carries.
     if !L::ONE && lanes.count() == 0 {
         return;
     }
@@ -365,12 +367,12 @@ pub(crate) fn exec_code<L: LaneSet>(
                 }
             }
             op::PACK => {
-                // Transpose strided → packed: gather each active lane's
+                // Transpose strided → packed: gather each swept lane's
                 // bit. Bits accumulate in a register and land with one
                 // masked store per 64-lane word (lane sets iterate
                 // ascending), not one read-modify-write per lane.
-                // Skipped lanes keep stale bits — only active lanes'
-                // bits are ever read back.
+                // Lanes past the range keep stale bits — all retired,
+                // so the commit mask never lets one through.
                 let (pdst, src) = (arg!(0) as usize, arg!(1) as usize);
                 p += 2;
                 let (mut wi, mut acc, mut got) = (usize::MAX, 0u64, 0u64);
@@ -392,7 +394,7 @@ pub(crate) fn exec_code<L: LaneSet>(
                 }
             }
             op::UNPACK => {
-                // Transpose packed → strided: scatter each active
+                // Transpose packed → strided: scatter each swept
                 // lane's bit into its arena word (one packed-word load
                 // per 64 lanes).
                 let (dst, psrc) = (arg!(0) as usize, arg!(1) as usize);

@@ -19,22 +19,41 @@
 //!
 //! # Lane sets
 //!
-//! The hot loop is monomorphized per [`LaneSet`], three ways:
-//! [`OneLane`] (every opcode a plain scalar statement), [`AllLanes`]
-//! (a dense gang) and [`LaneList`] (the survivors of per-lane early
-//! exit — finished lanes are simply never touched again, which freezes
-//! their state).
+//! A gang has **one compute shape**: the bytecode always sweeps a dense
+//! lane range from lane 0 — [`OneLane`], or [`AllLanes`]`(hi)` with `hi`
+//! the highest live lane + 1 — and those two are the only shapes
+//! [`exec_code`](super::dispatch::exec_code) is instantiated for
+//! ([`DenseLanes`]). Per-lane early exit changes the sweep's *bound*,
+//! never its shape: a retired lane below `hi` is recomputed along with
+//! its neighbours, a retired lane at the top drops out of the range.
+//!
+//! The survivor list ([`LaneList`]) is consulted only where state
+//! becomes **durable** — the register latch, register and port-record
+//! sends (on- and off-chip), the array applies, and (as a bit mask) the
+//! packed commits and sends. So what **freezes** bit-exact when a lane
+//! retires is its registers, arrays, mailbox words (both parities) and
+//! inputs; what stays **scratch** is its arena words and, in packed
+//! mode, its packed-scratch bits: below `hi` they are recomputed every
+//! cycle from the frozen state and committed nowhere, at `hi` and above
+//! they are simply stale. Nothing reads a retired lane's scratch —
+//! output peeks replay the tile from the frozen state at the lane's
+//! freeze parity.
 
-/// The set of scenario lanes a dispatched operation sweeps. The hot
+/// The set of scenario lanes a phase of the cycle covers. The cycle
 /// loop is monomorphized per implementation so the single-scenario
 /// engine ([`OneLane`]) pays no lane arithmetic at all, the full gang
-/// ([`AllLanes`]) runs a dense counted loop, and early-exited gangs
-/// ([`LaneList`]) skip finished lanes at dispatch granularity.
+/// ([`AllLanes`]) runs a dense counted loop, and an early-exited gang
+/// ([`LaneList`]) computes its [`dense`](LaneSet::dense) cover and skips
+/// finished lanes in the commit phases only.
 pub(crate) trait LaneSet: Copy {
     /// `true` only for [`OneLane`]: the engine has exactly one lane, so
     /// `off * lanes + lane` is `off` and every opcode is one scalar
     /// statement instead of a sweep.
     const ONE: bool = false;
+    /// The shape the bytecode runs in for this set: the set itself when
+    /// it already is a dense range, the range up to the highest
+    /// survivor for a [`LaneList`].
+    type Dense: DenseLanes;
     /// The interleave width to index a tile of `tile_lanes` lanes with
     /// — a compile-time 1 under [`OneLane`], so the per-lane rule
     /// `off * width + lane` folds to `off` there.
@@ -46,15 +65,22 @@ pub(crate) trait LaneSet: Copy {
             tile_lanes
         }
     }
-    /// Number of lanes swept.
-    fn count(&self) -> usize;
-    /// Calls `f` once per active lane index.
+    /// The smallest dense range covering every lane of the set.
+    fn dense(&self) -> Self::Dense;
+    /// Calls `f` once per lane index of the set, ascending.
     fn for_each(&self, f: impl FnMut(usize));
     /// Calls `f(start, len)` once per maximal run of **consecutive**
-    /// active lanes — the dense blocks the lane kernels sweep.
-    /// [`AllLanes`] yields one full-gang block, [`OneLane`] a single
-    /// unit block, and a [`LaneList`] one block per survivor run.
+    /// lanes of the set — the dense blocks the lane kernels and the
+    /// commit copies sweep. [`AllLanes`] yields one block, [`OneLane`] a
+    /// single unit block, and a [`LaneList`] one block per survivor run.
     fn for_each_chunk(&self, f: impl FnMut(usize, usize));
+}
+
+/// A lane set that is one dense range `0..count` — the only kind the
+/// bytecode dispatch accepts, so a survivor list cannot reach it.
+pub(crate) trait DenseLanes: LaneSet {
+    /// Number of lanes swept (lanes `0..count`).
+    fn count(&self) -> usize;
 }
 
 /// Exactly lane 0 of a one-lane engine (the single-scenario engine).
@@ -63,9 +89,10 @@ pub(crate) struct OneLane;
 
 impl LaneSet for OneLane {
     const ONE: bool = true;
+    type Dense = OneLane;
     #[inline(always)]
-    fn count(&self) -> usize {
-        1
+    fn dense(&self) -> OneLane {
+        OneLane
     }
     #[inline(always)]
     fn for_each(&self, mut f: impl FnMut(usize)) {
@@ -77,14 +104,23 @@ impl LaneSet for OneLane {
     }
 }
 
-/// All lanes `0..n` (no scenario has exited).
+impl DenseLanes for OneLane {
+    #[inline(always)]
+    fn count(&self) -> usize {
+        1
+    }
+}
+
+/// Lanes `0..n` of a gang: every lane while none has exited, and the
+/// compute range of an early-exited gang.
 #[derive(Clone, Copy)]
 pub(crate) struct AllLanes(pub usize);
 
 impl LaneSet for AllLanes {
+    type Dense = AllLanes;
     #[inline(always)]
-    fn count(&self) -> usize {
-        self.0
+    fn dense(&self) -> AllLanes {
+        *self
     }
     #[inline(always)]
     fn for_each(&self, mut f: impl FnMut(usize)) {
@@ -98,34 +134,52 @@ impl LaneSet for AllLanes {
     }
 }
 
-/// An explicit list of surviving lanes (some scenarios finished).
-#[derive(Clone, Copy)]
-pub(crate) struct LaneList<'a>(pub &'a [u32]);
-
-impl LaneSet for LaneList<'_> {
+impl DenseLanes for AllLanes {
     #[inline(always)]
     fn count(&self) -> usize {
-        self.0.len()
+        self.0
+    }
+}
+
+/// The surviving lanes of a gang some scenarios of which finished, as
+/// its ascending maximal runs `(start, len)` of consecutive lanes: what
+/// the commit phases iterate.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneList<'a>(pub &'a [(u32, u32)]);
+
+impl LaneList<'_> {
+    /// The runs of an ascending lane list, found once per run so that
+    /// no commit copy rediscovers them.
+    pub(crate) fn runs(active: &[u32]) -> Vec<(u32, u32)> {
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for &l in active {
+            match runs.last_mut() {
+                Some((s, n)) if *s + *n == l => *n += 1,
+                _ => runs.push((l, 1)),
+            }
+        }
+        runs
+    }
+}
+
+impl LaneSet for LaneList<'_> {
+    type Dense = AllLanes;
+    #[inline(always)]
+    fn dense(&self) -> AllLanes {
+        AllLanes(self.0.last().map_or(0, |&(s, n)| (s + n) as usize))
     }
     #[inline(always)]
     fn for_each(&self, mut f: impl FnMut(usize)) {
-        for &l in self.0 {
-            f(l as usize);
+        for &(s, n) in self.0 {
+            for l in s..s + n {
+                f(l as usize);
+            }
         }
     }
     #[inline(always)]
     fn for_each_chunk(&self, mut f: impl FnMut(usize, usize)) {
-        // The list is ascending; coalesce maximal consecutive runs.
-        let list = self.0;
-        let mut i = 0;
-        while i < list.len() {
-            let s = list[i] as usize;
-            let mut j = i + 1;
-            while j < list.len() && list[j] as usize == s + (j - i) {
-                j += 1;
-            }
-            f(s, j - i);
-            i = j;
+        for &(s, n) in self.0 {
+            f(s as usize, n as usize);
         }
     }
 }

@@ -6,6 +6,10 @@
 //! states its `SAFETY:` against the epoch invariant of
 //! [`crate::engine::sync::EpochSync`].
 //!
+//! The bytecode runs over the lane set's dense cover; everything after
+//! it — each place a value becomes durable — iterates the set itself,
+//! which is what freezes a retired lane (see `exec::lanes`).
+//!
 //! The three phase functions are `#[inline]` so that each is
 //! instantiated in the cycle loop's codegen unit and folds into it, as
 //! it did while both lived in one module; out of line they cost
@@ -19,12 +23,13 @@ use crate::fault::TileFault;
 use crate::simd::VecIsa;
 use parendi_core::routing::PORT_RECORD_HEADER_WORDS;
 
-/// Computation phase for one tile at cycle `c`, all active lanes: run
-/// the bytecode, latch own registers, push outgoing *on-chip* mailbox
-/// traffic for epoch `c+1`. `mask` is the packed retire mask (bit set =
-/// lane early-exited; empty when every lane is live): packed commits
-/// and sends blend through it so retired lanes' packed state stays
-/// frozen, exactly as the strided lane sweeps skip retired lanes.
+/// Computation phase for one tile at cycle `c`: run the bytecode over
+/// the dense range covering `lanes`, then — `lanes` only — latch own
+/// registers and push outgoing *on-chip* mailbox traffic for epoch
+/// `c+1`. `mask` is the packed retire mask (bit set = lane
+/// early-exited; empty when every lane is live): packed commits and
+/// sends blend through it so retired lanes' packed state stays frozen,
+/// exactly as the strided commit copies skip retired lanes.
 /// `faults` (usually empty) are this tile's injected fault ops, applied
 /// between compute and latch so commits *and* sends both observe the
 /// faulted next-state bits.
@@ -48,7 +53,7 @@ pub(crate) fn compute_phase<L: LaneSet>(
         inputs,
         channels,
         (c & 1) as usize,
-        lanes,
+        lanes.dense(),
         isa,
     );
     if !faults.is_empty() {

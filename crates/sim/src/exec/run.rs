@@ -270,16 +270,19 @@ fn merge_phases(agg: &mut Option<BspPhases>, ph: BspPhases) {
     }
 }
 
-/// Picks the cheapest [`LaneSet`] for the current active-lane list and
-/// hands the cycle loop monomorphized for it to `f`: a one-lane engine,
-/// a dense gang, or an early-exited gang.
+/// Picks the [`LaneSet`] for the current active-lane list and hands
+/// the cycle loop monomorphized for it to `f`: a one-lane engine; a
+/// dense gang, when the survivors are exactly lanes `0..k` (no lane
+/// retired yet, or every retirement came off the top — the order
+/// `parendi-serve` retires in); otherwise the survivor runs.
 fn dispatch_lanes<R>(shared: &CoreShared, active: &[u32], f: impl FnOnce(&dyn DynLanes) -> R) -> R {
+    let top = active.last().map_or(0, |&l| l as usize + 1);
     if shared.lanes == 1 && active.len() == 1 {
         f(&OneLane)
-    } else if active.len() == shared.lanes {
-        f(&AllLanes(shared.lanes))
+    } else if top == active.len() {
+        f(&AllLanes(top))
     } else {
-        f(&LaneList(active))
+        f(&LaneList(&LaneList::runs(active)))
     }
 }
 
@@ -406,7 +409,7 @@ fn cycle_loop<L: LaneSet>(ctx: &mut RunCtx<'_>, lanes: L) {
                 inputs,
                 &shared.channels,
                 (start & 1) as usize,
-                lanes,
+                lanes.dense(),
                 shared.isa,
             );
         }

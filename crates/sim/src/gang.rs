@@ -46,11 +46,16 @@
 //! A scenario that reaches its verdict (test passed, coverage target
 //! hit, assertion fired) can be retired without stalling the gang:
 //! [`finish_lane`](GangSimulator::finish_lane) drops the lane from
-//! every dispatch sweep, freezing its registers, arrays, and mailbox
-//! slots at their current values while the surviving lanes keep
-//! running — and keep speeding up, since each dispatched instruction
-//! now sweeps fewer lanes. [`BspPhases::lanes`] reports the *active*
-//! count, so [`BspPhases::lane_cycles_per_s`] stays an honest aggregate.
+//! every latch, send and array apply, freezing its registers, arrays,
+//! and mailbox slots at their current values while the surviving lanes
+//! keep running. The gang computes the dense lane range up to its
+//! highest live lane, so retirement never costs and pays when it comes
+//! off the **top**: put the scenarios that run longest on the lowest
+//! lanes and every dispatched instruction sweeps fewer lanes as the
+//! others finish (`parendi-serve` orders a batch this way). A lane
+//! retired below a live one is recomputed as scratch that nothing
+//! commits. [`BspPhases::lanes`] reports the *active* count, so
+//! [`BspPhases::lane_cycles_per_s`] stays an honest aggregate.
 //!
 //! # Throughput accounting
 //!
@@ -228,7 +233,7 @@ impl<'c> GangSimulator<'c> {
     }
 
     /// Static opcode/width and adjacent-pair statistics of the
-    /// compiled bytecode (the `PARENDI_CODE_STATS` data, queryable).
+    /// compiled bytecode (`figures report` prints them).
     pub fn code_stats(&self) -> parendi_telemetry::CodeStats {
         self.core.code_stats()
     }
@@ -296,11 +301,12 @@ impl<'c> GangSimulator<'c> {
         self.core.lane_is_active(lane)
     }
 
-    /// Retires `lane`: from the next [`run`](Self::run) on, no compute,
-    /// latch, send, or array apply touches it — its registers, arrays,
-    /// and outputs freeze at their current values while the rest of the
-    /// gang keeps running (and speeds up, each dispatch sweeping fewer
-    /// lanes). Output peeks keep replaying the lane at its freeze-cycle
+    /// Retires `lane`: from the next [`run`](Self::run) on, no latch,
+    /// send, or array apply touches it — its registers, arrays, and
+    /// outputs freeze at their current values while the rest of the
+    /// gang keeps running (and speeds up whenever the highest live lane
+    /// retires: each dispatch sweeps lanes `0..=highest live`, see the
+    /// module docs). Output peeks keep replaying the lane at its freeze-cycle
     /// mailbox epoch, and [`run_stimulus`](Self::run_stimulus) ignores
     /// the lane's remaining trace events (explicit
     /// [`set_input_lane`](Self::set_input_lane)/[`poke_lane`](Self::poke_lane)
