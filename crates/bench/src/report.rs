@@ -14,7 +14,7 @@
 use crate::rule;
 use parendi_core::{compile, PartitionConfig};
 use parendi_designs::Benchmark;
-use parendi_sim::{BspSimulator, TraceConfig, TransportChoice};
+use parendi_sim::{GangSimulator, TraceConfig, TransportChoice};
 use parendi_telemetry::SpanKind;
 use std::io::{self, Write};
 
@@ -45,8 +45,15 @@ pub fn report(out: &mut dyn Write, quick: bool) -> io::Result<()> {
     cfg.tiles_per_chip = per_chip;
     let comp = compile(&circuit, &cfg).expect("corpus design compiles");
     let transport = TransportChoice::from_env();
-    let mut sim =
-        BspSimulator::with_trace(&circuit, &comp.partition, threads, transport, trace_cfg);
+    let mut sim = GangSimulator::with_trace(
+        &circuit,
+        &comp.partition,
+        threads,
+        1,
+        false,
+        transport,
+        trace_cfg,
+    );
     sim.run(50); // warm the persistent pool
     let ph = sim.run_timed(cycles);
 
@@ -83,7 +90,7 @@ pub fn report(out: &mut dyn Write, quick: bool) -> io::Result<()> {
         "phase", "p50", "p95", "max", "sum"
     )?;
     rule(out, 50)?;
-    type TileGet = fn(&parendi_sim::bsp::TilePhases) -> f64;
+    type TileGet = fn(&parendi_sim::report::TilePhases) -> f64;
     let cols: [(&str, TileGet); 3] = [
         ("compute", |t| t.compute_s),
         ("offchip", |t| t.offchip_s),

@@ -5,7 +5,7 @@
 //! every register and every array write port it records the producer
 //! tile, the explicit list of consumer tiles, and — per consumer — the
 //! pre-resolved word offset inside the producer→consumer *channel*
-//! buffer. The execution engine (`parendi-sim`'s `BspSimulator`) copies
+//! buffer. The execution engine (`parendi-sim`'s `GangSimulator`) copies
 //! straight through these offsets with no locks and no allocation, and
 //! the [`ExchangePlan`] cost figures are a derived view
 //! ([`Routing::exchange_plan`]) of the very same structure, so the cost

@@ -13,7 +13,7 @@ use parendi_core::routing::Routing;
 use parendi_core::{compile, Compilation, PartitionConfig};
 use parendi_designs::{prng, Benchmark};
 use parendi_rtl::Circuit;
-use parendi_sim::{BspSimulator, FoldReport, GangSimulator};
+use parendi_sim::{FoldReport, GangSimulator};
 
 /// The fold this PR's predecessor used, kept here as the reference to
 /// beat: chips share workers by tile count, tiles deal round-robin.
@@ -179,7 +179,7 @@ fn contiguous_fold_models_no_worse_than_round_robin_bar_the_conceded() {
             if (comp.partition.tiles_used() as usize) < workers {
                 continue;
             }
-            let sim = BspSimulator::new(&c, &comp.partition, workers);
+            let sim = GangSimulator::new(&c, &comp.partition, workers, 1);
             let fold = sim.fold_report();
             check(&bench.name(), &c, &comp, workers, fold, concede);
         }
@@ -204,7 +204,7 @@ fn contiguous_fold_models_no_worse_than_round_robin_bar_the_conceded() {
 fn vta_256_on_two_workers_crosses_at_most_64_words() {
     let c = Benchmark::Vta.build();
     let comp = compile_on(&c, 256, None);
-    let sim = BspSimulator::new(&c, &comp.partition, 2);
+    let sim = GangSimulator::new(&c, &comp.partition, 2, 1);
     let fold = sim.fold_report();
     assert_eq!(fold.total_words(), 541);
     assert!(
@@ -218,6 +218,6 @@ fn vta_256_on_two_workers_crosses_at_most_64_words() {
         fold.max_load_permille()
     );
     // One thread folds nothing: the report says so by being empty.
-    let inline = BspSimulator::new(&c, &comp.partition, 1);
+    let inline = GangSimulator::new(&c, &comp.partition, 1, 1);
     assert_eq!(*inline.fold_report(), FoldReport::default());
 }

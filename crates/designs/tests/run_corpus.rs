@@ -7,7 +7,7 @@
 use parendi_core::{compile, PartitionConfig};
 use parendi_designs::Benchmark;
 use parendi_rtl::{ArrayId, RegId};
-use parendi_sim::{BspSimulator, CodeStats, GangSimulator, Simulator};
+use parendi_sim::{CodeStats, GangSimulator, Simulator};
 
 fn stats_key(s: &CodeStats) -> impl PartialEq + std::fmt::Debug + '_ {
     (
@@ -37,8 +37,8 @@ fn one_lane_schedule_is_deterministic_and_exact_on_the_corpus() {
         let c = bench.build();
         for tiles in 1..=8u32 {
             let comp = compile(&c, &PartitionConfig::with_tiles(tiles)).expect("compiles");
-            let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
-            let again = BspSimulator::new(&c, &comp.partition, 1);
+            let mut bsp = GangSimulator::new(&c, &comp.partition, 2, 1);
+            let again = GangSimulator::new(&c, &comp.partition, 1, 1);
             let (stats, stats2) = (bsp.code_stats(), again.code_stats());
             assert_eq!(
                 stats_key(&stats),
@@ -90,7 +90,7 @@ fn corpus_dispatches_stay_under_the_ceiling_at_one_lane() {
     ] {
         let c = bench.build();
         let comp = compile(&c, &PartitionConfig::with_tiles(tiles)).expect("compiles");
-        let one = BspSimulator::new(&c, &comp.partition, 1).code_stats();
+        let one = GangSimulator::new(&c, &comp.partition, 1, 1).code_stats();
         assert!(
             one.dispatches as f64 <= 0.30 * one.total_ops as f64,
             "{} @ {tiles}: {} dispatches for {} ops",

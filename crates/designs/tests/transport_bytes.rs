@@ -7,7 +7,7 @@
 
 use parendi_core::{compile, PartitionConfig};
 use parendi_designs::Benchmark;
-use parendi_sim::{BspSimulator, TransportChoice};
+use parendi_sim::{GangSimulator, TransportChoice};
 
 const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::Tcp];
 
@@ -32,7 +32,7 @@ fn corpus_designs_credit_identical_bytes_on_every_backend() {
         // (accessor bytes, metrics bytes, metrics frames) per backend.
         let mut columns: Vec<(u64, u64, u64)> = Vec::new();
         for backend in BACKENDS {
-            let mut sim = BspSimulator::with_transport(&c, &comp.partition, 3, backend);
+            let mut sim = GangSimulator::with_transport(&c, &comp.partition, 3, 1, false, backend);
             sim.run(cycles);
             let snap = sim.metrics_snapshot();
             columns.push((

@@ -183,7 +183,7 @@ impl Fingerprint {
 /// A complete, restorable capture of an engine's mid-run state (see
 /// the module docs for the format and the guarantees).
 ///
-/// Produced by `BspSimulator::snapshot` / `GangSimulator::snapshot`
+/// Produced by `GangSimulator::snapshot`
 /// (or periodically via `PARENDI_CHECKPOINT`); applied by the matching
 /// `restore`. The byte codecs ([`to_bytes`](Self::to_bytes) /
 /// [`from_bytes`](Self::from_bytes)) and the file helpers

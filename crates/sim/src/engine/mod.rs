@@ -1,7 +1,8 @@
 //! The compile-time half of the execution engine, and the fabric both
-//! halves stand on. [`crate::exec`] is the run-time half; both public
-//! simulators are facades over the two. One module per decision
-//! (`docs/ENGINE.md` maps each to the test file that pins it):
+//! halves stand on. [`crate::exec`] is the run-time half; the public
+//! engine ([`crate::gang::GangSimulator`]) is a facade over the two.
+//! One module per decision (`docs/ENGINE.md` maps each to the test file
+//! that pins it):
 //!
 //! * [`program`] — what a compile produces per tile, as data;
 //! * [`frontend`] — [`frontend::Compiled`]: state layout, the mailbox

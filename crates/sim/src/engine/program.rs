@@ -186,8 +186,7 @@ pub(crate) struct Apply {
 }
 
 /// A compiled per-tile program. Self-contained: executing it requires no
-/// access to the `Circuit`, and the *same* program drives both the
-/// single-scenario engine and every lane of the gang engine.
+/// access to the `Circuit`, and the *same* program drives every lane.
 #[derive(Clone, Debug)]
 pub(crate) struct Program {
     /// The flat fused bytecode of the tile's step program (lowered once
@@ -195,8 +194,8 @@ pub(crate) struct Program {
     pub code: Code,
     /// Run-invariant prefix of the tile's bytecode: input/constant
     /// cones and their `PACK` transposes, split out at lowering time.
-    /// Inputs are frozen for the duration of a `run` call (the facades
-    /// take `&mut self`), so this executes **once per run**, not once
+    /// Inputs are frozen for the duration of a `run` call (the facade
+    /// takes `&mut self`), so this executes **once per run**, not once
     /// per cycle — the repeated-`PACK` hoist. Empty in strided mode.
     pub prelude: Code,
     pub arena_words: usize,

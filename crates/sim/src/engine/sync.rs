@@ -10,7 +10,7 @@
 //! neighbour sets the protocol waits on. A worker with no neighbours,
 //! and the inline one-thread path, touch no sync state at all.
 
-use crate::bsp::{FoldReport, WorkerFold};
+use crate::report::{FoldReport, WorkerFold};
 use parendi_telemetry::{env_knob, Counter};
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;

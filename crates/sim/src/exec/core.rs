@@ -1,19 +1,17 @@
 //! The engine object: [`EngineCore`], the state it shares with its
 //! worker pool ([`CoreShared`]), its one constructor, and the plain
-//! accessors. [`crate::bsp::BspSimulator`] (one scenario, many tiles)
-//! and [`crate::gang::GangSimulator`] (many scenarios in lockstep) are
-//! thin facades over it — the single-scenario engine is the
-//! `lanes == 1` instantiation. Reading and writing the state lives in
-//! `state_io`, running it in `run`.
+//! accessors. [`crate::gang::GangSimulator`] is the thin facade over
+//! it at every lane count — one scenario is `lanes == 1`. Reading and
+//! writing the state lives in `state_io`, running it in `run`.
 
 use super::lanes::{LaneTile, TileBuf};
 use super::run::{worker_loop, PhaseAcc};
-use crate::bsp::FoldReport;
 use crate::checkpoint::auto_checkpoint_from_env;
 use crate::engine::frontend::Compiled;
 use crate::engine::program::{ArrayHome, OutputHome, Program, RegHome};
 use crate::engine::sync::{fold_neighbors, worker_groups, EpochSync, Mailbox, TILE_FIXED};
 use crate::fault::TileFault;
+use crate::report::FoldReport;
 use crate::simd::VecIsa;
 use crate::transport::{self, TransportChoice};
 use parendi_core::Partition;
@@ -27,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-/// State shared between the engine facades and the worker pool.
+/// State shared between the engine facade and the worker pool.
 pub(super) struct CoreShared {
     pub(super) programs: Vec<Program>,
     pub(super) tiles: Vec<Mutex<LaneTile>>,
@@ -165,8 +163,8 @@ impl<'c> EngineCore<'c> {
     /// Builds an engine around a compiled artifact — the one
     /// constructor: lane-strided state init, the tile→worker fold and
     /// its neighbour sets, the worker pool, the transport, telemetry.
-    /// The facades compile (or clone a cached [`Compiled`]) and resolve
-    /// `PARENDI_TRANSPORT` / `PARENDI_TRACE` themselves. `compiled`
+    /// The facade compiles (or clones a cached [`Compiled`]) and
+    /// resolves `PARENDI_TRANSPORT` / `PARENDI_TRACE` itself. `compiled`
     /// must have been produced from this same `circuit` and `partition`
     /// (the compile cache keys on a content hash of both); the lane
     /// shape comes from the artifact itself. With tracing on, every

@@ -14,8 +14,8 @@ use super::core::{CoreShared, EngineCore};
 use super::dispatch::exec_code;
 use super::lanes::{AllLanes, LaneList, LaneSet, LaneTile, OneLane};
 use super::phases::{compute_phase, exchange_phase, offchip_flush};
-use crate::bsp::{BspPhases, TilePhases};
 use crate::engine::sync::Mailbox;
+use crate::report::{BspPhases, TilePhases};
 use crate::simd::VecIsa;
 use parendi_telemetry::{SpanKind, TraceBuf, TraceEvent, TraceLevel, TraceSink, NO_TILE};
 use std::cell::Cell;
@@ -396,7 +396,7 @@ fn cycle_loop<L: LaneSet>(ctx: &mut RunCtx<'_>, lanes: L) {
         .filter(|&k| !shared.programs[mine[k]].applies.is_empty())
         .collect();
     // Run-invariant prelude: inputs are frozen for the whole run (the
-    // facades take `&mut self`), so each tile's input/constant cones
+    // facade takes `&mut self`), so each tile's input/constant cones
     // and their PACK/UNPACK transposes execute once per run here, not
     // once per cycle. Mailbox parity is irrelevant — the prelude never
     // reads a mailbox (register/mail cones are variant by definition).

@@ -59,8 +59,8 @@ impl EngineCore<'_> {
     /// Hands `f` every stateful buffer of the engine with its lane
     /// layout, in snapshot order: each tile's arena, packed scratch,
     /// register file and array copies; both parities of every mailbox;
-    /// the input buffer. Legal between runs only, which the facades
-    /// guarantee by construction — a run borrows the engine mutably and
+    /// the input buffer. Legal between runs only, which the facade
+    /// guarantees by construction — a run borrows the engine mutably and
     /// returns with the worker pool parked at its gate.
     fn for_each_state_buf(&self, mut f: impl FnMut(&mut [u64], LaneLayout)) {
         use LaneLayout::{PerLane, Split};

@@ -1,30 +1,68 @@
-//! Gang simulation: scenario-parallel BSP execution over one compiled
-//! partition.
+//! The parallel BSP simulator: one compiled partition, `L`
+//! independent scenarios (lanes) advancing in lockstep.
 //!
-//! The BSP engine of [`crate::bsp`] parallelizes *one* simulation across
-//! many tiles; this module adds the second, stimulus-level dimension of
-//! parallelism: a [`GangSimulator`] runs `L` **independent scenarios
-//! (lanes)** of the same circuit in lockstep over one compiled
-//! [`Partition`]. Regression sweeps, seed farms, and coverage runs need
-//! thousands of short simulations of the same RTL far more often than
-//! one enormous simulation — and a software full-cycle simulator pays
-//! its biggest tax not in ALU work but in *per-op dispatch*.
+//! A [`GangSimulator`] executes a compiled [`Partition`] on host
+//! threads with exactly the structure of Fig. 3 — a *computation* phase
+//! in which every process evaluates its (possibly duplicated) cone into
+//! private memory, a synchronization, and a *communication* phase —
+//! except that the double-buffered mailboxes make Fig. 3's second
+//! barrier redundant and the first one local: each worker publishes its
+//! epoch and waits only for the workers it exchanges words with.
+//! Functional results are bit-identical to the reference [`Simulator`]
+//! in every lane — the engine is the correctness check for the
+//! partitioner, not a model.
 //!
-//! Gang execution amortizes that dispatch `L` ways. Both simulators are
-//! facades over the unified lane-strided core in [`crate::exec`]: every
-//! buffer a tile's fused bytecode touches — value arenas, register
-//! files, array copies, mailbox buffers, the input buffer — is
+//! One scenario is the narrowest gang: `GangSimulator::new(c, p,
+//! threads, 1)` is the single-scenario engine, and the lane-0 readers
+//! ([`reg_value`](GangSimulator::reg_value),
+//! [`peek_output`](GangSimulator::peek_output),
+//! [`array_value`](GangSimulator::array_value)) with the broadcasting
+//! [`set_input`](GangSimulator::set_input) /
+//! [`poke`](GangSimulator::poke) give it the classic testbench surface.
+//! Wider gangs add the second, stimulus-level dimension of parallelism:
+//! regression sweeps, seed farms, and coverage runs need thousands of
+//! short simulations of the same RTL far more often than one enormous
+//! simulation — and a software full-cycle simulator pays its biggest
+//! tax not in ALU work but in *per-op dispatch*, which a gang amortizes
+//! `L` ways.
+//!
+//! # Lane layout
+//!
+//! Every buffer a tile's fused bytecode touches — value arenas,
+//! register files, array copies, mailbox buffers, the input buffer — is
 //! *lane-strided* (`lanes` copies of the single-lane layout,
 //! word-interleaved: word `w` of lane `l` at `w * lanes + l` — see the
-//! layout rule in `exec::lanes`), and one dispatched
-//! bytecode instruction executes a tight inner loop over each word's
-//! dense lane row; for the dominant single-word case that loop is pure
-//! `u64` arithmetic through the same scalar kernels the
-//! single-scenario instantiation runs, which the compiler vectorizes
-//! across lanes — so the engines cannot diverge semantically.
-//! The exchange structure is identical across lanes: mailbox epochs,
-//! the off-chip flush (with the modeled link charged `L×` the words),
-//! worker groups, and the one-sync-point cycle all carry over verbatim.
+//! layout rule in `exec::lanes`), and one dispatched bytecode
+//! instruction executes a tight inner loop over each word's dense lane
+//! row; for the dominant single-word case that loop is pure `u64`
+//! arithmetic through the scalar kernels, which the compiler vectorizes
+//! across lanes.
+//!
+//! # Exchange architecture (executed by the core)
+//!
+//! There is no shared mutable global state and no leader thread. Every
+//! tile *owns* the registers and array copies it produces or holds, and
+//! all cross-tile values move through the channels of the compiled
+//! [`Routing`], laid out at compile time. Channels come in the two
+//! classes the machine distinguishes (Fig. 5): *on-chip* channels get
+//! one double-buffered mailbox per producer→consumer tile pair, while
+//! *off-chip* channels are aggregated into one **wider mailbox per
+//! ordered chip pair** (the modeled link is charged `L×` the words).
+//! Tiles fold onto worker threads **chip-major** in contiguous runs of
+//! near-equal modelled cost (neighbouring tiles share a worker, so most
+//! channels never cross threads — see [`FoldReport`]), and each
+//! worker's off-chip traffic is flushed eagerly per tile, as soon as
+//! that tile's compute finishes.
+//!
+//! The only synchronization in the steady-state loop is one
+//! publish-then-wait-on-neighbours per cycle (`engine::sync::EpochSync`):
+//! a store to the worker's own cache line and acquire loads of its
+//! neighbours' — no locks are taken and no heap allocation occurs; a
+//! worker with no neighbours never waits. Per-tile `Mutex`es exist
+//! solely so the testbench API can inspect state between
+//! [`run`](GangSimulator::run) calls, and are locked once per run,
+//! outside the cycle loop. Worker threads are spawned once by the
+//! constructor and persist across `run()` calls.
 //!
 //! # Per-lane I/O
 //!
@@ -57,19 +95,14 @@
 //! commits. [`BspPhases::lanes`] reports the *active* count, so
 //! [`BspPhases::lane_cycles_per_s`] stays an honest aggregate.
 //!
-//! # Throughput accounting
-//!
-//! [`run_timed`](GangSimulator::run_timed) returns the same
-//! [`BspPhases`] split as the single-scenario engine — including the
-//! per-tile histograms of [`BspPhases::per_tile`], which the unified
-//! core now populates for gang runs too.
-//!
 //! [`Partition`]: parendi_core::Partition
+//! [`Routing`]: parendi_core::routing::Routing
+//! [`FoldReport`]: crate::report::FoldReport
 
-use crate::bsp::BspPhases;
 use crate::engine::frontend::Compiled;
 use crate::exec::core::EngineCore;
 use crate::interp::Simulator;
+use crate::report::BspPhases;
 use crate::transport::TransportChoice;
 use parendi_core::Partition;
 use parendi_rtl::bits::Bits;
@@ -87,8 +120,9 @@ pub struct GangSimulator<'c> {
 impl<'c> GangSimulator<'c> {
     /// Compiles `partition` once and prepares `lanes` lane-strided
     /// copies of the simulation state, served by a persistent pool of
-    /// `threads` workers (tiles fold chip-major, exactly like the
-    /// single-scenario engine).
+    /// `threads` workers (tiles fold chip-major; the pool is reused by
+    /// every [`run`](Self::run)). `lanes == 1` is the single-scenario
+    /// engine.
     ///
     /// # Panics
     ///
@@ -200,10 +234,10 @@ impl<'c> GangSimulator<'c> {
     }
 
     /// How tiles were folded onto the worker pool (per-tile cost is
-    /// lane-scaled here) — see [`BspSimulator::fold_report`].
-    ///
-    /// [`BspSimulator::fold_report`]: crate::bsp::BspSimulator::fold_report
-    pub fn fold_report(&self) -> &crate::bsp::FoldReport {
+    /// lane-scaled). The headline numbers also ride the metrics
+    /// snapshot as `fold_cross_worker_words`, `fold_max_load_permille`
+    /// and `sync_neighbors_max`.
+    pub fn fold_report(&self) -> &crate::report::FoldReport {
         self.core.fold_report()
     }
 
@@ -220,16 +254,6 @@ impl<'c> GangSimulator<'c> {
     /// (Perfetto-loadable), or `None` when tracing is off.
     pub fn trace_json(&self) -> Option<String> {
         self.core.trace().map(|s| s.chrome_json())
-    }
-
-    /// Writes the accumulated event trace to `path` as Chrome
-    /// trace-event JSON. No-op returning `Ok(false)` when tracing is
-    /// off.
-    pub fn write_trace(&self, path: &std::path::Path) -> std::io::Result<bool> {
-        match self.core.trace() {
-            Some(s) => s.write(path).map(|_| true),
-            None => Ok(false),
-        }
     }
 
     /// Static opcode/width and adjacent-pair statistics of the
@@ -324,12 +348,6 @@ impl<'c> GangSimulator<'c> {
         self.core.tiles()
     }
 
-    /// Number of mailboxes carrying traffic: per-tile-pair on-chip boxes
-    /// plus per-chip-pair off-chip aggregates.
-    pub fn channels(&self) -> usize {
-        self.core.channels()
-    }
-
     /// Number of per-chip-pair aggregate mailboxes (zero on single-chip
     /// partitions).
     pub fn offchip_channels(&self) -> usize {
@@ -376,6 +394,11 @@ impl<'c> GangSimulator<'c> {
         self.set_input(id, &Bits::from_u64(width, value));
     }
 
+    /// The current value of a register in lane 0.
+    pub fn reg_value(&self, id: RegId) -> Bits {
+        self.reg_value_lane(id, 0)
+    }
+
     /// The current value of a register in `lane`.
     ///
     /// # Panics
@@ -383,6 +406,15 @@ impl<'c> GangSimulator<'c> {
     /// Panics if `lane` is out of range.
     pub fn reg_value_lane(&self, id: RegId, lane: usize) -> Bits {
         self.core.reg_value_lane(id, lane)
+    }
+
+    /// An element of an array in lane 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn array_value(&self, id: parendi_rtl::ArrayId, index: u32) -> Bits {
+        self.array_value_lane(id, index, 0)
     }
 
     /// An element of an array in `lane`.
@@ -394,11 +426,23 @@ impl<'c> GangSimulator<'c> {
         self.core.array_value_lane(id, index, lane)
     }
 
+    /// [`peek_output_lane`](Self::peek_output_lane) of lane 0.
+    pub fn peek_output(&self, name: &str) -> Option<Bits> {
+        self.peek_output_lane(name, 0)
+    }
+
     /// The current value of primary output `name` in `lane`, or `None`
-    /// if no such output exists — the gang counterpart of the reference
-    /// interpreter's `output()` and the single-scenario engine's
-    /// `peek_output`. Replays the owning tile's bytecode (all lanes)
-    /// against current architectural state, then reads the lane's slot.
+    /// if no such output exists — the engine counterpart of the
+    /// reference interpreter's `output()`.
+    ///
+    /// Output cones are computed every cycle (their fibers run like any
+    /// other), but the arena holds *pre-latch* values from the last
+    /// cycle; this replays the owning tile's bytecode (all lanes)
+    /// against the current architectural state (own registers, array
+    /// copies, and the current-epoch mailbox slots for remote
+    /// registers), then reads the lane's slot — so the value reflects
+    /// all completed cycles and the current inputs, exactly like the
+    /// interpreter after `step`.
     ///
     /// # Panics
     ///
@@ -429,9 +473,13 @@ impl<'c> GangSimulator<'c> {
 
     /// Runs `cycles` RTL cycles in every active lane and reports the
     /// straggler worker's compute / off-chip / exchange split plus the
-    /// per-tile histograms. `BspPhases::lanes` is set to the *active*
-    /// lane count, so [`BspPhases::lane_cycles_per_s`] reports honest
-    /// aggregate scenario-cycles per second under early exit.
+    /// per-tile histograms (the measured counterpart of the modeled
+    /// `t_comp`/`t_comm`+`t_sync` split). `BspPhases::lanes` is set to
+    /// the *active* lane count, so [`BspPhases::lane_cycles_per_s`]
+    /// reports honest aggregate scenario-cycles per second under early
+    /// exit. Timed runs cost roughly one clock read per tile per
+    /// sub-phase per cycle; use [`run`](Self::run) for throughput
+    /// measurements.
     pub fn run_timed(&mut self, cycles: u64) -> BspPhases {
         self.core.run_inner(cycles, true)
     }

@@ -4,13 +4,14 @@
 //!
 //! * [`interp::Simulator`] — the single-threaded full-cycle reference
 //!   interpreter (the semantic oracle);
-//! * [`bsp::BspSimulator`] — parallel host execution of a compiled
-//!   partition with the BSP structure of Fig. 3, one neighbour-only
-//!   sync point per cycle;
-//! * [`gang::GangSimulator`] — scenario-parallel execution: `L`
-//!   independent stimulus lanes in lockstep over one compiled
-//!   partition, with lane-strided state, per-lane I/O, and per-lane
-//!   early exit;
+//! * [`gang::GangSimulator`] — the one engine: parallel host
+//!   execution of a compiled partition with the BSP structure of
+//!   Fig. 3, one neighbour-only sync point per cycle, over `L`
+//!   independent stimulus lanes in lockstep (lane-strided state,
+//!   per-lane I/O, per-lane early exit); one lane is the
+//!   single-scenario simulator;
+//! * [`report`] — what a run reports: the phase split and the
+//!   tile→worker fold;
 //! * [`timing`] — the Eq. 1 cost breakdown
 //!   (`t_comp`/`t_comm`/`t_sync`) on the IPU machine model;
 //! * [`checkpoint`] — versioned, checksummed engine snapshots:
@@ -27,11 +28,11 @@
 //! [`TrackSummary`]) are re-exported here. Environment knobs are
 //! cataloged in `docs/ENVVARS.md` at the repository root.
 //!
-//! Both simulators are facades over one lane-strided execution core
+//! The engine is a facade over one lane-strided execution core
 //! (`exec`, crate-private: one module each for the bytecode, its
 //! lowering, the lane sets, the hot loop, the phase functions, the
 //! engine object, state I/O and the run path) that runs a fused,
-//! cache-compact bytecode — a single hot loop shared by every engine;
+//! cache-compact bytecode — a single hot loop at every lane count;
 //! the compile front-end, the operator kernels and the epoch protocol
 //! live in `engine`. `docs/ENGINE.md` maps every module to the one
 //! decision it owns and the test that pins it. Off-chip traffic crosses
@@ -43,7 +44,7 @@
 //! ```
 //! use parendi_rtl::Builder;
 //! use parendi_core::{compile, PartitionConfig};
-//! use parendi_sim::{Simulator, BspSimulator};
+//! use parendi_sim::{GangSimulator, Simulator};
 //! use parendi_rtl::RegId;
 //!
 //! let mut b = Builder::new("counter");
@@ -57,17 +58,17 @@
 //! let mut reference = Simulator::new(&circuit);
 //! reference.step_n(10);
 //!
-//! // Parallel BSP run of the compiled partition.
+//! // Parallel BSP run of the compiled partition: 2 threads, 1 lane.
 //! let comp = compile(&circuit, &PartitionConfig::with_tiles(2)).unwrap();
-//! let mut bsp = BspSimulator::new(&circuit, &comp.partition, 2);
-//! bsp.run(10);
-//! assert_eq!(bsp.reg_value(RegId(0)), reference.reg_value(RegId(0)));
+//! let mut sim = GangSimulator::new(&circuit, &comp.partition, 2, 1);
+//! sim.run(10);
+//! assert_eq!(sim.reg_value(RegId(0)), reference.reg_value(RegId(0)));
 //! ```
 
 #![warn(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod bsp;
+mod benchmark_shim;
 pub mod checkpoint;
 pub(crate) mod engine;
 pub(crate) mod exec;
@@ -75,18 +76,20 @@ pub mod fault;
 pub mod gang;
 pub mod interp;
 pub mod precompiled;
+pub mod report;
 pub(crate) mod simd;
 pub mod timing;
 pub mod transport;
 pub mod vcd;
 
-pub use bsp::{BspPhases, BspSimulator, FoldReport, WorkerFold};
+pub use benchmark_shim::*;
 pub use checkpoint::{Snapshot, SnapshotError};
 pub use fault::{run_campaign, CampaignReport, FaultKind, FaultOutcome, FaultPlan, FaultSpec};
 pub use gang::{GangSimulator, StimulusSet};
 pub use interp::Simulator;
 pub use parendi_telemetry::{CodeStats, MetricsSnapshot, TraceConfig, TraceLevel, TrackSummary};
 pub use precompiled::Precompiled;
+pub use report::{BspPhases, FoldReport, WorkerFold};
 pub use timing::{ipu_rate_khz, ipu_timings};
 pub use transport::{TransportChoice, TransportError};
 pub use vcd::{dump_vcd, dump_vcd_lane, VcdWriter};

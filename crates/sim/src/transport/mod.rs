@@ -94,9 +94,9 @@ pub(crate) mod tcp;
 
 /// Which backend carries the off-chip aggregate mailboxes.
 ///
-/// Selected per simulator via `BspSimulator::with_transport` /
-/// `GangSimulator::with_transport`, or globally via the
-/// `PARENDI_TRANSPORT` environment variable (`inproc` | `tcp`). Both
+/// Selected per simulator via `GangSimulator::with_transport`, or
+/// globally via the `PARENDI_TRANSPORT` environment variable (`inproc`
+/// | `tcp`). Both
 /// backends are bit-exact; they differ only in which memory-domain
 /// boundary the aggregates cross and in the measured cost that lands
 /// in `BspPhases::offchip_s`.

@@ -7,7 +7,7 @@ mod common;
 use common::{random_circuit, two_islands};
 use parendi_core::{compile, MultiChipStrategy, PartitionConfig, Strategy};
 use parendi_rtl::{Builder, Circuit, RegId};
-use parendi_sim::{BspSimulator, Simulator};
+use parendi_sim::{GangSimulator, Simulator};
 use proptest::prelude::*;
 
 /// Runs both engines and asserts identical architectural state.
@@ -16,7 +16,7 @@ fn check_equivalence(circuit: &Circuit, tiles: u32, threads: usize, cycles: u64)
     cfg.tiles_per_chip = (tiles.div_ceil(2)).max(1); // force multi-chip paths too
     let comp = compile(circuit, &cfg).expect("compiles");
     let mut reference = Simulator::new(circuit);
-    let mut bsp = BspSimulator::new(circuit, &comp.partition, threads);
+    let mut bsp = GangSimulator::new(circuit, &comp.partition, threads, 1);
     reference.step_n(cycles);
     bsp.run(cycles);
     for i in 0..circuit.regs.len() {
@@ -80,7 +80,7 @@ fn strategies_are_equivalent_too() {
             cfg.multi_chip = mc;
             let comp = compile(&c, &cfg).expect("compiles");
             let mut reference = Simulator::new(&c);
-            let mut bsp = BspSimulator::new(&c, &comp.partition, 3);
+            let mut bsp = GangSimulator::new(&c, &comp.partition, 3, 1);
             reference.step_n(20);
             bsp.run(20);
             for i in 0..c.regs.len() {
@@ -104,7 +104,7 @@ fn inputs_propagate_identically() {
     let c = b.finish().unwrap();
     let comp = compile(&c, &PartitionConfig::with_tiles(1)).unwrap();
     let mut reference = Simulator::new(&c);
-    let mut bsp = BspSimulator::new(&c, &comp.partition, 1);
+    let mut bsp = GangSimulator::new(&c, &comp.partition, 1, 1);
     for v in [5u64, 7, 11] {
         reference.poke("x", v);
         bsp.poke("x", v);
@@ -128,7 +128,7 @@ fn long_runs_across_thread_pool_shapes() {
             cfg.tiles_per_chip = 5;
             let comp = compile(&c, &cfg).expect("compiles");
             let mut reference = Simulator::new(&c);
-            let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+            let mut bsp = GangSimulator::new(&c, &comp.partition, threads, 1);
             // Uneven chunks catch epoch-parity bugs at run() boundaries.
             for chunk in [1u64, 2, 125, 128] {
                 reference.step_n(chunk);
@@ -175,7 +175,7 @@ fn multi_chip_worker_groups_are_equivalent() {
                 assert!(comp.partition.chips >= 2, "partition must span chips");
                 for &threads in &[1usize, 2, 3, 5, 8] {
                     let mut reference = Simulator::new(&c);
-                    let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+                    let mut bsp = GangSimulator::new(&c, &comp.partition, threads, 1);
                     if comp.plan.offchip_total_bytes > 0 {
                         assert!(
                             bsp.offchip_channels() > 0,
@@ -228,7 +228,7 @@ fn timed_phase_columns_add_up() {
     let comp = compile(&c, &cfg).expect("compiles");
     assert!(comp.partition.chips >= 2, "partition must span chips");
     for threads in [1usize, 2] {
-        let mut bsp = BspSimulator::new(&c, &comp.partition, threads);
+        let mut bsp = GangSimulator::new(&c, &comp.partition, threads, 1);
         // No pool (and no fold) at one thread: worker 0 runs every tile.
         let mut tile_worker = bsp.fold_report().tile_worker.clone();
         tile_worker.resize(bsp.tiles(), 0);
@@ -270,7 +270,7 @@ fn disconnected_halves_never_wait() {
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).expect("compiles");
     assert_eq!(comp.partition.tiles_used(), 2);
     let mut reference = Simulator::new(&c);
-    let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    let mut bsp = GangSimulator::new(&c, &comp.partition, 2, 1);
     let fold = bsp.fold_report();
     assert_eq!(fold.total_words(), 0, "the islands must not exchange words");
     assert!(fold
@@ -301,7 +301,7 @@ fn single_chip_has_no_offchip_phase() {
     let cfg = PartitionConfig::with_tiles(6); // tiles_per_chip = 1472
     let comp = compile(&c, &cfg).expect("compiles");
     assert_eq!(comp.partition.chips, 1);
-    let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    let mut bsp = GangSimulator::new(&c, &comp.partition, 2, 1);
     assert_eq!(bsp.offchip_channels(), 0);
     let ph = bsp.run_timed(20);
     assert_eq!(ph.offchip_s, 0.0, "the flush sub-phase is skipped outright");

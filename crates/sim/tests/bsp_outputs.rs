@@ -10,7 +10,7 @@ mod common;
 use common::random_circuit;
 use parendi_core::{compile, PartitionConfig};
 use parendi_rtl::Builder;
-use parendi_sim::{BspSimulator, Simulator};
+use parendi_sim::{GangSimulator, Simulator};
 
 /// Compiles for `tiles` (forcing 2 chips) and checks every output
 /// against the reference over `cycles`, probing after each chunk.
@@ -19,7 +19,7 @@ fn check_outputs(circuit: &parendi_rtl::Circuit, tiles: u32, threads: usize, chu
     cfg.tiles_per_chip = tiles.div_ceil(2).max(1);
     let comp = compile(circuit, &cfg).expect("compiles");
     let mut reference = Simulator::new(circuit);
-    let mut bsp = BspSimulator::new(circuit, &comp.partition, threads);
+    let mut bsp = GangSimulator::new(circuit, &comp.partition, threads, 1);
     for &chunk in chunks {
         reference.step_n(chunk);
         bsp.run(chunk);
@@ -46,7 +46,7 @@ fn counter_output_tracks_reference() {
     b.output("q", r.q());
     let c = b.finish().unwrap();
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).unwrap();
-    let mut bsp = BspSimulator::new(&c, &comp.partition, 1);
+    let mut bsp = GangSimulator::new(&c, &comp.partition, 1, 1);
     assert_eq!(bsp.peek_output("q").unwrap().to_u64(), 0, "power-on state");
     bsp.run(1);
     assert_eq!(bsp.peek_output("q").unwrap().to_u64(), 5);
@@ -71,7 +71,7 @@ fn mux_output_follows_input() {
     let c = b.finish().unwrap();
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).unwrap();
     let mut reference = Simulator::new(&c);
-    let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    let mut bsp = GangSimulator::new(&c, &comp.partition, 2, 1);
     for v in [0u64, 1, 1, 0] {
         reference.poke("sel", v);
         bsp.poke("sel", v);
@@ -113,7 +113,7 @@ fn array_read_output_sees_exchanged_writes() {
     cfg.tiles_per_chip = 2; // writer and readers on separate chips
     let comp = compile(&c, &cfg).unwrap();
     let mut reference = Simulator::new(&c);
-    let mut bsp = BspSimulator::new(&c, &comp.partition, 2);
+    let mut bsp = GangSimulator::new(&c, &comp.partition, 2, 1);
     for probe in [0u64, 1, 3, 7] {
         reference.poke("probe", probe);
         bsp.poke("probe", probe);

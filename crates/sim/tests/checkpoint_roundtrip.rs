@@ -1,7 +1,7 @@
 //! The crash-safety contract: a snapshot taken mid-run and restored
 //! into a *fresh* engine — any thread count, any transport backend —
 //! must continue bit-identically to the uninterrupted run. The matrix
-//! below covers both facades (BSP, gang), both lane layouts (strided,
+//! below covers one lane and wide gangs, both lane layouts (strided,
 //! packed), every transport, and 1/4 worker threads; a separate test
 //! kills a checkpointing child process mid-run and resumes from the
 //! auto-checkpoint it left behind.
@@ -11,7 +11,7 @@ mod common;
 use common::random_circuit_io;
 use parendi_core::{compile, Compilation, PartitionConfig};
 use parendi_rtl::{ArrayId, Circuit, RegId};
-use parendi_sim::{BspSimulator, GangSimulator, Snapshot, SnapshotError, TransportChoice};
+use parendi_sim::{GangSimulator, Snapshot, SnapshotError, TransportChoice};
 
 const BACKENDS: [TransportChoice; 2] = [TransportChoice::InProcess, TransportChoice::Tcp];
 
@@ -24,7 +24,8 @@ fn multi_chip(seed: u64) -> (Circuit, Compilation) {
     (c, comp)
 }
 
-/// Full architectural state of one gang lane, for exact comparison.
+/// Full architectural state of one gang lane and its outputs, for
+/// exact comparison.
 fn lane_state(gang: &GangSimulator<'_>, lane: usize) -> Vec<u64> {
     let c = gang.circuit();
     let mut v = Vec::new();
@@ -36,23 +37,13 @@ fn lane_state(gang: &GangSimulator<'_>, lane: usize) -> Vec<u64> {
             v.extend_from_slice(gang.array_value_lane(ArrayId(ai as u32), idx, lane).words());
         }
     }
-    v
-}
-
-fn bsp_state(bsp: &BspSimulator<'_>, c: &Circuit) -> Vec<u64> {
-    let mut v = Vec::new();
-    for ri in 0..c.regs.len() {
-        v.extend_from_slice(bsp.reg_value(RegId(ri as u32)).words());
-    }
-    for (ai, a) in c.arrays.iter().enumerate() {
-        for idx in 0..a.depth {
-            v.extend_from_slice(bsp.array_value(ArrayId(ai as u32), idx).words());
-        }
+    for o in gang.peek_outputs_lane(lane) {
+        v.extend_from_slice(o.words());
     }
     v
 }
 
-/// BSP leg of the matrix: snapshot at cycle 21, serialize through
+/// One-lane leg of the matrix: snapshot at cycle 21, serialize through
 /// bytes, restore into a fresh engine on a (possibly different)
 /// backend/thread count, run the tail, compare against the
 /// uninterrupted run.
@@ -61,7 +52,8 @@ fn bsp_restore_is_bit_identical_across_backends_and_threads() {
     let (c, comp) = multi_chip(71);
     for backend in BACKENDS {
         for &threads in &[1usize, 4] {
-            let mut sim = BspSimulator::with_transport(&c, &comp.partition, threads, backend);
+            let mut sim =
+                GangSimulator::with_transport(&c, &comp.partition, threads, 1, false, backend);
             sim.poke("in0", 41);
             sim.poke("in1", 7);
             sim.run(21);
@@ -71,19 +63,19 @@ fn bsp_restore_is_bit_identical_across_backends_and_threads() {
             let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("round-trips");
             sim.poke("in1", 19);
             sim.run(16);
-            let want = bsp_state(&sim, &c);
+            let want = lane_state(&sim, 0);
 
             // Restore into a fresh engine with a *different* thread
             // count on the same backend (thread count is not part of
             // the snapshotted state).
             let mut resumed =
-                BspSimulator::with_transport(&c, &comp.partition, 5 - threads, backend);
+                GangSimulator::with_transport(&c, &comp.partition, 5 - threads, 1, false, backend);
             resumed.restore(&snap).expect("shapes match");
             assert_eq!(resumed.cycle(), 21, "[{}]", resumed.transport_name());
             resumed.poke("in1", 19);
             resumed.run(16);
             assert_eq!(
-                bsp_state(&resumed, &c),
+                lane_state(&resumed, 0),
                 want,
                 "[{} t{threads}] resumed state diverged",
                 resumed.transport_name(),
@@ -179,7 +171,7 @@ fn gang_restore_is_bit_identical_across_modes_and_backends() {
 #[test]
 fn corrupted_snapshots_are_rejected() {
     let (c, comp) = multi_chip(73);
-    let mut sim = BspSimulator::new(&c, &comp.partition, 2);
+    let mut sim = GangSimulator::new(&c, &comp.partition, 2, 1);
     sim.run(5);
     let bytes = sim.snapshot().to_bytes();
 
@@ -303,7 +295,7 @@ fn ckpt_child_entry() {
     };
     let backend = child_backend(&std::env::var(CHILD_BACKEND_ENV).unwrap_or_default());
     let (c, comp) = multi_chip(CHILD_SEED);
-    let mut sim = BspSimulator::with_transport(&c, &comp.partition, 2, backend);
+    let mut sim = GangSimulator::with_transport(&c, &comp.partition, 2, 1, false, backend);
     sim.set_auto_checkpoint(&path, 10);
     sim.poke("in0", 5);
     sim.poke("in1", 60);
@@ -321,11 +313,11 @@ fn ckpt_child_entry() {
 fn killed_run_resumes_from_auto_checkpoint() {
     let (c, comp) = multi_chip(CHILD_SEED);
     // The uninterrupted reference: same stimulus, straight to 45.
-    let mut reference = BspSimulator::new(&c, &comp.partition, 2);
+    let mut reference = GangSimulator::new(&c, &comp.partition, 2, 1);
     reference.poke("in0", 5);
     reference.poke("in1", 60);
     reference.run(45);
-    let want = bsp_state(&reference, &c);
+    let want = lane_state(&reference, 0);
 
     let exe = std::env::current_exe().expect("current test binary");
     for backend in BACKENDS {
@@ -360,12 +352,12 @@ fn killed_run_resumes_from_auto_checkpoint() {
         let _ = std::fs::remove_file(&path);
 
         // Resume on the same backend, different thread count.
-        let mut resumed = BspSimulator::with_transport(&c, &comp.partition, 3, backend);
+        let mut resumed = GangSimulator::with_transport(&c, &comp.partition, 3, 1, false, backend);
         resumed.restore(&snap).expect("shapes match");
         resumed.run(25);
         assert_eq!(resumed.cycle(), 45);
         assert_eq!(
-            bsp_state(&resumed, &c),
+            lane_state(&resumed, 0),
             want,
             "[{}] kill-resume diverged from the uninterrupted run",
             backend.name(),
@@ -379,21 +371,21 @@ fn killed_run_resumes_from_auto_checkpoint() {
 #[test]
 fn auto_checkpoint_preserves_results() {
     let (c, comp) = multi_chip(77);
-    let mut plain = BspSimulator::new(&c, &comp.partition, 2);
+    let mut plain = GangSimulator::new(&c, &comp.partition, 2, 1);
     plain.poke("in0", 9);
     plain.poke("in1", 2);
     plain.run(33);
 
     let path = std::env::temp_dir().join(format!("parendi-ckpt-auto-{}.snap", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut auto = BspSimulator::new(&c, &comp.partition, 2);
+    let mut auto = GangSimulator::new(&c, &comp.partition, 2, 1);
     auto.set_auto_checkpoint(&path, 7);
     auto.poke("in0", 9);
     auto.poke("in1", 2);
     auto.run(33);
     assert_eq!(
-        bsp_state(&auto, &c),
-        bsp_state(&plain, &c),
+        lane_state(&auto, 0),
+        lane_state(&plain, 0),
         "chunking changed results"
     );
 

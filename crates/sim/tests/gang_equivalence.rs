@@ -93,6 +93,21 @@ fn check_gang(
             );
         }
     }
+    // The readers without a lane argument read lane 0, also once the
+    // lanes' stimuli have diverged.
+    let mut cells =
+        circuit.arrays.iter().enumerate().flat_map(|(ai, a)| {
+            (0..a.depth).map(move |idx| (parendi_rtl::ArrayId(ai as u32), idx))
+        });
+    let same_output = |name: &str| gang.peek_output(name) == gang.peek_output_lane(name, 0);
+    assert!(
+        (0..circuit.regs.len() as u32)
+            .map(RegId)
+            .all(|r| gang.reg_value(r) == gang.reg_value_lane(r, 0))
+            && cells.all(|(a, i)| gang.array_value(a, i) == gang.array_value_lane(a, i, 0))
+            && circuit.outputs.iter().all(|o| same_output(&o.name)),
+        "a lane-less reader disagrees with lane 0 on {threads} threads x {lanes} lanes"
+    );
 }
 
 /// The ISSUE's acceptance matrix: Pre/Post multi-chip distribution ×

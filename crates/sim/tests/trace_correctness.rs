@@ -9,7 +9,7 @@ mod common;
 use common::{random_circuit_io, two_islands};
 use parendi_core::{compile, Compilation, MultiChipStrategy, PartitionConfig};
 use parendi_rtl::{Circuit, RegId};
-use parendi_sim::{BspSimulator, GangSimulator, TraceConfig, TransportChoice};
+use parendi_sim::{GangSimulator, TraceConfig, TransportChoice};
 
 /// Compiles a small 2-chip partition of a random circuit.
 fn compile_two_chip(c: &Circuit, mc: MultiChipStrategy) -> Compilation {
@@ -129,10 +129,12 @@ fn assert_tracks_monotone(spans: &[Span]) {
 fn golden_two_worker_trace_is_wellformed_chrome_json() {
     let c = random_circuit_io(41, 8, 40, 2);
     let comp = compile_two_chip(&c, MultiChipStrategy::Post);
-    let mut sim = BspSimulator::with_trace(
+    let mut sim = GangSimulator::with_trace(
         &c,
         &comp.partition,
         2,
+        1,
+        false,
         TransportChoice::InProcess,
         TraceConfig::tile(),
     );
@@ -196,10 +198,12 @@ fn golden_two_worker_trace_is_wellformed_chrome_json() {
 fn workers_without_neighbours_record_no_wait_spans() {
     let c = two_islands();
     let comp = compile(&c, &PartitionConfig::with_tiles(2)).expect("compiles");
-    let mut sim = BspSimulator::with_trace(
+    let mut sim = GangSimulator::with_trace(
         &c,
         &comp.partition,
         2,
+        1,
+        false,
         TransportChoice::InProcess,
         TraceConfig::tile(),
     );
@@ -226,8 +230,15 @@ fn phase_level_trace_is_coarser_and_still_monotone() {
     let comp = compile_two_chip(&c, MultiChipStrategy::Post);
     let mut counts = Vec::new();
     for cfg in [TraceConfig::tile(), TraceConfig::phase()] {
-        let mut sim =
-            BspSimulator::with_trace(&c, &comp.partition, 2, TransportChoice::InProcess, cfg);
+        let mut sim = GangSimulator::with_trace(
+            &c,
+            &comp.partition,
+            2,
+            1,
+            false,
+            TransportChoice::InProcess,
+            cfg,
+        );
         sim.poke("in0", 5);
         sim.poke("in1", 9);
         sim.run(4);
@@ -245,47 +256,17 @@ fn phase_level_trace_is_coarser_and_still_monotone() {
 }
 
 /// Tracing must never change what the engine computes: for every
-/// strategy × engine × thread count, a tile-level traced run lands on
-/// bit-identical registers and outputs to the untraced run.
+/// strategy × lane count × thread count, a tile-level traced run lands
+/// on bit-identical registers and outputs, in every lane, to the
+/// untraced run.
 #[test]
 fn traced_runs_are_bit_identical_to_untraced() {
     let cycles = 30u64;
     for mc in [MultiChipStrategy::Pre, MultiChipStrategy::Post] {
         let c = random_circuit_io(67, 10, 50, 2);
         let comp = compile_two_chip(&c, mc);
-        for threads in [1usize, 4] {
-            // BSP engine.
-            let run_bsp = |trace: TraceConfig| {
-                let mut s = BspSimulator::with_trace(
-                    &c,
-                    &comp.partition,
-                    threads,
-                    TransportChoice::InProcess,
-                    trace,
-                );
-                s.poke("in0", 13);
-                s.poke("in1", 0xfeed);
-                s.run(cycles);
-                let regs: Vec<_> = (0..c.regs.len())
-                    .map(|i| s.reg_value(RegId(i as u32)))
-                    .collect();
-                let outs: Vec<_> = c
-                    .outputs
-                    .iter()
-                    .map(|o| s.peek_output(&o.name).expect("output"))
-                    .collect();
-                (regs, outs)
-            };
-            let untraced = run_bsp(TraceConfig::off());
-            let traced = run_bsp(TraceConfig::tile());
-            assert_eq!(
-                untraced, traced,
-                "bsp {mc:?} {threads} threads: traced run diverged"
-            );
-
-            // Gang engine, multi-lane: every lane must agree.
-            let lanes = 3usize;
-            let run_gang = |trace: TraceConfig| {
+        for (lanes, threads) in [1usize, 3].into_iter().flat_map(|l| [(l, 1usize), (l, 4)]) {
+            let run = |trace: TraceConfig| {
                 let mut g = GangSimulator::with_trace(
                     &c,
                     &comp.partition,
@@ -305,14 +286,14 @@ fn traced_runs_are_bit_identical_to_untraced() {
                     for i in 0..c.regs.len() {
                         vals.push(g.reg_value_lane(RegId(i as u32), l));
                     }
+                    vals.extend(g.peek_outputs_lane(l));
                 }
                 vals
             };
-            let untraced = run_gang(TraceConfig::off());
-            let traced = run_gang(TraceConfig::tile());
             assert_eq!(
-                untraced, traced,
-                "gang {mc:?} {threads} threads: traced run diverged"
+                run(TraceConfig::off()),
+                run(TraceConfig::tile()),
+                "{mc:?} {lanes} lanes {threads} threads: traced run diverged"
             );
         }
     }
@@ -326,8 +307,15 @@ fn traced_runs_cover_all_transports() {
     let c = random_circuit_io(19, 8, 40, 2);
     let comp = compile_two_chip(&c, MultiChipStrategy::Post);
     for backend in [TransportChoice::InProcess, TransportChoice::Tcp] {
-        let mut sim =
-            BspSimulator::with_trace(&c, &comp.partition, 2, backend, TraceConfig::tile());
+        let mut sim = GangSimulator::with_trace(
+            &c,
+            &comp.partition,
+            2,
+            1,
+            false,
+            backend,
+            TraceConfig::tile(),
+        );
         sim.poke("in0", 1);
         sim.run(8);
         let name = sim.transport_name();

@@ -9,7 +9,7 @@
 use parendi::core::{compile, PartitionConfig};
 use parendi::designs::sha256::{build_miner, soft_miner_digest, MinerConfig};
 use parendi::machine::ipu::IpuConfig;
-use parendi::sim::{ipu_timings, BspSimulator, Simulator};
+use parendi::sim::{ipu_timings, GangSimulator, Simulator};
 
 fn main() {
     let cfg = MinerConfig {
@@ -25,7 +25,7 @@ fn main() {
 
     // Run in parallel until the found flag rises.
     let comp = compile(&circuit, &PartitionConfig::with_tiles(128)).expect("compiles");
-    let mut bsp = BspSimulator::new(&circuit, &comp.partition, 4);
+    let mut bsp = GangSimulator::new(&circuit, &comp.partition, 4, 1);
     let mut reference = Simulator::new(&circuit);
     let mut nonce = None;
     for _ in 0..200 {

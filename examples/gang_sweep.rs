@@ -14,7 +14,7 @@
 use parendi::core::{compile, PartitionConfig};
 use parendi::designs::prng;
 use parendi::rtl::{Bits, RegId};
-use parendi::sim::{dump_vcd_lane, BspSimulator, GangSimulator, StimulusSet};
+use parendi::sim::{dump_vcd_lane, GangSimulator, StimulusSet};
 use std::fs::File;
 use std::io::BufWriter;
 
@@ -62,7 +62,7 @@ fn main() -> std::io::Result<()> {
 
     // Aggregate throughput vs a single-lane engine run.
     let cycles = 2000u64;
-    let mut single = BspSimulator::new(&circuit, &comp.partition, 4);
+    let mut single = GangSimulator::new(&circuit, &comp.partition, 4, 1);
     single.run(100);
     let ph1 = single.run_timed(cycles);
     let phl = gang.run_timed(cycles);

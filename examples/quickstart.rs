@@ -8,7 +8,7 @@
 use parendi::core::{compile, PartitionConfig};
 use parendi::machine::ipu::IpuConfig;
 use parendi::rtl::{Builder, RegId};
-use parendi::sim::{ipu_timings, BspSimulator, Simulator};
+use parendi::sim::{ipu_timings, GangSimulator, Simulator};
 
 fn main() {
     // 1. Describe hardware: four interleaved 32-bit counters with a
@@ -48,7 +48,7 @@ fn main() {
 
     // 3. Execute in parallel under BSP and check against the reference.
     let mut reference = Simulator::new(&circuit);
-    let mut bsp = BspSimulator::new(&circuit, &comp.partition, 2);
+    let mut bsp = GangSimulator::new(&circuit, &comp.partition, 2, 1);
     reference.step_n(1000);
     bsp.run(1000);
     for i in 0..circuit.regs.len() {

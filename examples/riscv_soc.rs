@@ -10,7 +10,7 @@ use parendi::core::{compile, PartitionConfig};
 use parendi::designs::noc::{build_mesh, MeshConfig};
 use parendi::machine::ipu::IpuConfig;
 use parendi::rtl::RegId;
-use parendi::sim::{ipu_timings, BspSimulator};
+use parendi::sim::{ipu_timings, GangSimulator};
 
 fn main() {
     let circuit = build_mesh(&MeshConfig::small(3));
@@ -28,7 +28,7 @@ fn main() {
         100.0 * comp.partition.utilization()
     );
 
-    let mut bsp = BspSimulator::new(&circuit, &comp.partition, 4);
+    let mut bsp = GangSimulator::new(&circuit, &comp.partition, 4, 1);
     let secs = bsp.run(2000);
     println!("ran 2000 cycles on 4 host threads in {secs:.2}s");
 

@@ -5,7 +5,7 @@
 use parendi::core::{compile, PartitionConfig};
 use parendi::designs::Benchmark;
 use parendi::rtl::RegId;
-use parendi::sim::{BspSimulator, Simulator};
+use parendi::sim::{GangSimulator, Simulator};
 
 fn check_bench(bench: Benchmark, tiles: u32, threads: usize, cycles: u64) {
     check_bench_cfg(bench, PartitionConfig::with_tiles(tiles), threads, cycles);
@@ -30,7 +30,7 @@ fn check_bench_cfg(bench: Benchmark, cfg: PartitionConfig, threads: usize, cycle
     );
 
     let mut reference = Simulator::new(&circuit);
-    let mut bsp = BspSimulator::new(&circuit, &comp.partition, threads);
+    let mut bsp = GangSimulator::new(&circuit, &comp.partition, threads, 1);
     reference.step_n(cycles);
     bsp.run(cycles);
     for i in 0..circuit.regs.len() {
